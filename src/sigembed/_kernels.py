@@ -1,395 +1,185 @@
-"""Hot numeric kernels: singular arc-length quadrature and its inversion.
+"""Arc length of the embedding curve and its inversion, in closed form.
 
 The arc-length integral
 
     I(theta) = integral_0^theta sqrt(|4/(sqrt(2) - 2 s)^4 - 1|) ds
 
 has a square-root kink at s = 0 and a non-integrable pole at
-s = 1/sqrt(2).  The substitution s = sign(theta) * w^2 removes the kink,
-after which an adaptive Gauss-Kronrod (G7, K15) scheme converges fast on
-any compact subset of (-inf, 1/sqrt(2)).
+s = 1/sqrt(2).  With y = 1 - sqrt2 theta for theta >= 0 and
+y = 1/(1 - sqrt2 theta) for theta < 0, both branches become
+I(theta) = sgn(theta) K(y) / sqrt2 with y in (0, 1] and
 
-Two backends implement the same panel-acceptance rule:
+    K(y) = sqrt(1 - y^4)/y - 2 J(1) + 2 J(y),
+    J(y) = integral_0^y v^2/sqrt(1 - v^4) dv = (y^3/3) R_D(1 - y^2, 1 + y^2, 1),
 
-* scalar loops compiled with numba (the default when numba imports), and
-* a pure-numpy path that evaluates all pending panels of one integral per
-  refinement round (used when numba is unavailable or SIGEMBED_NO_NUMBA=1).
+R_D being Carlson's symmetric elliptic integral of the second kind
+(Carlson 1995, Numer. Algorithms 10:13; DLMF 19.36).  Near theta = 0 the
+terms of K cancel, so |theta| < ARC_SEAM uses the convergent series
+I = theta |theta|^(1/2) sum a_m theta^m instead.
 
-Both stay importable so ``benchmarks/bench_kernels.py`` can compare them;
-cross-backend agreement is covered by tests.
+The inversion I(theta) = (2/3)|t|^(3/2) sgn(t) uses the reverted series
+theta = t sum e_k t^k for |t| < THETA_SEAM.  Beyond it, both signs of t
+solve the same equation K(y) = sqrt2 |I| for z = 1/y, where K is convex
+with slope dK/dz = sqrt(1 - y^4) (the arc integrand, up to the change of
+variable).  As z - 2 J(1) < K(z) <= z - 1 and 2 J(1) < 2, the root lies in
+[1 + sqrt2 |I|, 2 + sqrt2 |I|]; a Newton iteration from the middle of that
+bracket, safeguarded by bisection, runs over the whole t-array at once.
 
-Status codes returned by the raw kernels: 0 ok, 1 budget exhausted.
+Every function is batch-first; scalar callers pass one-element arrays.
+Status codes: 0 ok; 1 non-finite theta or theta at/beyond the pole (arc),
+or the Newton iteration did not converge within cfg.max_iterations (theta).
 """
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
 SQRT2 = float(np.sqrt(2.0))
 THETA_POLE = float(np.sqrt(0.5))
-# Seed slope of the inversion near t = 0: theta ~ t / 2**(5/6).
+# Slope of the inversion at t = 0: theta ~ t / 2**(5/6).
 SEED_SLOPE = float(2.0 ** (-5.0 / 6.0))
+# Recorded by perfbench/run.py in its environment block; there is no
+# compiled backend any more.
+NUMBA_ENABLED = False
+
 _EPS = float(np.finfo(float).eps)
+# 2 J(1) = pi / (lemniscate constant 2.62205755429211981...).
+_TWO_J1 = 1.1981402347355923
+_RD_STEPS = 5  # duplication steps; enough for the R_D arguments above
 
-# Gauss-Kronrod (G7, K15) nodes and weights on [-1, 1]; nonnegative nodes,
-# symmetric extension applied in the evaluation loops.  Indices 1, 3, 5 and
-# the centre are the embedded Gauss nodes.
-_XGK = np.array([
-    0.99145537112081263921,
-    0.94910791234275852453,
-    0.86486442335976907279,
-    0.74153118559939443986,
-    0.58608723546769113029,
-    0.40584515137739716691,
-    0.20778495500789846760,
-])
-_WGK = np.array([
-    0.02293532201052922496,
-    0.06309209262997855329,
-    0.10479001032225018384,
-    0.14065325971552591875,
-    0.16900472663926790283,
-    0.19035057806478540991,
-    0.20443294007529889241,
-])
-_WGK_CENTER = 0.20948214108472782801
-_WG = np.array([
-    0.12948496616886969327,
-    0.27970539148927666790,
-    0.38183005050511894495,
-])
-_WG_CENTER = 0.41795918367346938776
+# Series of I(theta)/(theta |theta|^(1/2)) about 0 (radius 1/sqrt2), used
+# below the seam where K loses digits to cancellation.  Derived from
+# sqrt(((1 - u)^-4 - 1)/u) = sum b_m u^m, u = sqrt2 theta, as
+# a_m = 2^(1/4 + m/2) b_m / (m + 3/2); tests/test_kernels.py re-derives them.
+ARC_SEAM = 0.125
+_ARC_SERIES = (
+    1.5856094866702948, 1.681792830507429, 2.3359425473267734,
+    3.328548310379287, 4.739091706164963, 6.723886570407632,
+    9.518108704469206, 13.46029625637446, 19.031005567613956,
+    26.909118947431324, 38.052777813156865, 53.814958938221245,
+    76.10768754876808, 107.63455537149278, 152.21939534173097,
+    215.27067845221515, 304.4378195518203, 430.53904252220025,
+    608.8735290943739, 861.0772294465377, 1217.7476124118741,
+    1722.1558172223433,
+)
 
-_MAX_STACK = 4096
-
-
-def _integrand_w_scalar(w, sign):
-    # integrand after s = sign * w**2: 2 w sqrt(|4 (sqrt2 - 2 s)^-4 - 1|)
-    s = sign * w * w
-    u = SQRT2 - 2.0 * s
-    q = 4.0 / (u * u * u * u) - 1.0
-    return 2.0 * w * np.sqrt(abs(q))
+# Reversion of t(theta) = sgn(I) (3|I|/2)^(2/3) about 0: theta/t as a
+# series in t, so that small |t| needs no iteration (and no power of t
+# that could underflow).  e_0 is SEED_SLOPE.
+THETA_SEAM = 0.25
+_THETA_SERIES = (
+    0.5612310241546865, -0.22272467953508482, 0.02525381361380527,
+    0.015032973861286245, -0.0026342668497888046, -0.003095232025718016,
+    0.0004966056609505506, 0.0008346610563100091, -0.00011961355490874829,
+    -0.0002564113271760557, 3.306773605689352e-05, 8.515976885441023e-05,
+    -9.992202196273486e-06, -2.9798656134891284e-05, 3.21342712891528e-06,
+    1.0825039774508067e-05, -1.0821401369720363e-06, -4.045060701250989e-06,
+)
 
 
-def _make_arc_core(integrand, jit):
-    """Adaptive stack driver over a scalar integrand (numba-compilable)."""
-
-    @jit
-    def gk15(a, b, sign):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        f0 = integrand(c, sign)
-        resk = _WGK_CENTER * f0
-        resg = _WG_CENTER * f0
-        for j in range(7):
-            x = h * _XGK[j]
-            f1 = integrand(c - x, sign)
-            f2 = integrand(c + x, sign)
-            resk += _WGK[j] * (f1 + f2)
-            if j == 1 or j == 3 or j == 5:
-                resg += _WG[(j - 1) // 2] * (f1 + f2)
-        return h * resk, h * abs(resk - resg)
-
-    @jit
-    def arc_core(theta, abs_tol, rel_tol, max_panels):
-        # Globally adaptive: always split the worst-error panel, so the
-        # grid grades itself geometrically into the pole as theta nears it.
-        if theta == 0.0:
-            return 0.0, 0
-        sign = 1.0 if theta > 0.0 else -1.0
-        w_max = np.sqrt(abs(theta))
-
-        pan_a = np.empty(_MAX_STACK)
-        pan_b = np.empty(_MAX_STACK)
-        pan_v = np.empty(_MAX_STACK)
-        pan_e = np.empty(_MAX_STACK)
-        pan_a[0] = 0.0
-        pan_b[0] = w_max
-        pan_v[0], pan_e[0] = gk15(0.0, w_max, sign)
-        count = 1
-        splits = 0
-        while True:
-            total = 0.0
-            err_total = 0.0
-            worst = 0
-            for i in range(count):
-                total += pan_v[i]
-                err_total += pan_e[i]
-                if pan_e[i] > pan_e[worst]:
-                    worst = i
-            if err_total <= max(abs_tol, rel_tol * abs(total)):
-                return sign * total, 0
-            if pan_b[worst] - pan_a[worst] <= 64.0 * _EPS * w_max:
-                return sign * total, 0  # roundoff floor; cannot refine further
-            if splits >= max_panels or count >= _MAX_STACK - 1:
-                return sign * total, 1
-            a = pan_a[worst]
-            b = pan_b[worst]
-            mid = 0.5 * (a + b)
-            pan_b[worst] = mid
-            pan_v[worst], pan_e[worst] = gk15(a, mid, sign)
-            pan_a[count] = mid
-            pan_b[count] = b
-            pan_v[count], pan_e[count] = gk15(mid, b, sign)
-            count += 1
-            splits += 1
-
-    return arc_core
+def _horner(coeffs, x):
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
-def _make_theta_root(arc_core, jit):
-    """Bracketed inversion of I(theta) = (2/3)|t|^(3/2) sgn(t).
+def carlson_rd(y2):
+    """R_D(1 - y2, 1 + y2, 1) by Carlson's duplication.
 
-    I is strictly increasing, so the root is unique.  Brackets grow
-    geometrically from the small-t seed; refinement is a secant step
-    safeguarded by the bracket, with bisection forced every third step.
+    For these arguments A_0 = 1 and the deviations are (y2, -y2, 0), so of
+    the fifth-order tail only E_2 = -X^2 survives.
     """
-
-    @jit
-    def theta_root(t, quad_abs, quad_rel, root_tol, max_iter, max_panels):
-        if t == 0.0:
-            return 0.0, 0
-        target = (2.0 / 3.0) * abs(t) ** 1.5 * (1.0 if t > 0.0 else -1.0)
-        # Residual acceptance lives in I-space: near the pole dI/dtheta is
-        # huge, so a theta-width criterion would wreck the t round-trip.
-        f_tol = max(root_tol * max(1.0, abs(target)),
-                    quad_abs, quad_rel * abs(target))
-
-        # Bracket [lo, hi] with I(lo) <= target <= I(hi).
-        if t > 0.0:
-            lo = 0.0
-            g_lo = -target
-            hi = min(SEED_SLOPE * t, THETA_POLE * (1.0 - 2.0 ** -8))
-            val, st = arc_core(hi, quad_abs, quad_rel, max_panels)
-            if st != 0:
-                return hi, st
-            g_hi = val - target
-            k = 0
-            while g_hi < 0.0:
-                k += 1
-                if k > max_iter:
-                    return hi, 1
-                hi = THETA_POLE - 0.5 * (THETA_POLE - hi)
-                val, st = arc_core(hi, quad_abs, quad_rel, max_panels)
-                if st != 0:
-                    return hi, st
-                g_hi = val - target
-        else:
-            # |I(theta)| <= |theta| for theta < 0, so I(target) >= target.
-            hi = target
-            val, st = arc_core(hi, quad_abs, quad_rel, max_panels)
-            if st != 0:
-                return hi, st
-            g_hi = val - target
-            lo = target - 2.0
-            val, st = arc_core(lo, quad_abs, quad_rel, max_panels)
-            if st != 0:
-                return lo, st
-            g_lo = val - target
-            k = 0
-            while g_lo > 0.0:
-                k += 1
-                if k > max_iter:
-                    return lo, 1
-                lo = target - 2.0 ** (k + 1)
-                val, st = arc_core(lo, quad_abs, quad_rel, max_panels)
-                if st != 0:
-                    return lo, st
-                g_lo = val - target
-
-        if g_lo == 0.0:
-            return lo, 0
-        if g_hi == 0.0:
-            return hi, 0
-
-        x_prev, g_prev = lo, g_lo
-        x_cur, g_cur = hi, g_hi
-        for it in range(max_iter):
-            width = hi - lo
-            if width <= 16.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-                return 0.5 * (lo + hi), 0  # float64 resolution floor
-            x = 0.5 * (lo + hi)
-            if it % 3 != 2 and g_cur != g_prev:
-                x_sec = x_cur - g_cur * (x_cur - x_prev) / (g_cur - g_prev)
-                margin = 0.01 * width
-                if lo + margin < x_sec < hi - margin:
-                    x = x_sec
-            val, st = arc_core(x, quad_abs, quad_rel, max_panels)
-            if st != 0:
-                return x, st
-            g = val - target
-            if abs(g) <= f_tol:
-                return x, 0
-            if g < 0.0:
-                lo = x
-            else:
-                hi = x
-            x_prev, g_prev = x_cur, g_cur
-            x_cur, g_cur = x, g
-        return 0.5 * (lo + hi), 1
-
-    return theta_root
+    xyz = np.stack([1.0 - y2, 1.0 + y2, np.ones_like(y2)])
+    total = 0.0
+    scale = 1.0
+    for _ in range(_RD_STEPS):
+        root = np.sqrt(xyz)
+        lam = root[0] * (root[1] + root[2]) + root[1] * root[2]
+        total = total + scale / (root[2] * (xyz[2] + lam))
+        scale *= 0.25
+        xyz = 0.25 * (xyz + lam)
+    a = (xyz[0] + xyz[1] + 3.0 * xyz[2]) / 5.0
+    x2 = (y2 * scale / a) ** 2
+    tail = 1.0 + x2 * (3.0 / 14.0 + x2 * (9.0 / 88.0))
+    return scale * tail / (a * np.sqrt(a)) + 3.0 * total
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend: all pending panels of an integral per round
-# ---------------------------------------------------------------------------
-
-def _integrand_w_array(w, sign):
-    s = sign * w * w
-    u = SQRT2 - 2.0 * s
-    q = 4.0 / (u * u * u * u) - 1.0
-    return 2.0 * w * np.sqrt(np.abs(q))
+def _k_and_slope(y):
+    """K(y) and dK/dz = sqrt(1 - y^4), z = 1/y."""
+    y2 = y * y
+    slope = np.sqrt((1.0 - y2) * (1.0 + y2))
+    return slope / y - _TWO_J1 + (2.0 / 3.0) * y * y2 * carlson_rd(y2), slope
 
 
-_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])          # 15 ascending
-_WEIGHTS_K = np.concatenate([_WGK, [_WGK_CENTER], _WGK[::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([_WG, [_WG_CENTER], _WG[::-1]])
-
-
-def _gk15_panels(a, b, sign):
-    """Vectorised G7/K15 over panel arrays a, b; returns (vals, errs)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    w = c[:, None] + h[:, None] * _NODES[None, :]
-    f = _integrand_w_array(w, sign)
-    resk = f @ _WEIGHTS_K
-    resg = f @ _WEIGHTS_G
-    return h * resk, h * np.abs(resk - resg)
-
-
-def arc_core_numpy(theta, abs_tol, rel_tol, max_panels):
-    # Same globally adaptive worst-panel strategy as the compiled backend;
-    # only the 15-node rule evaluation is vectorised.
-    if theta == 0.0:
-        return 0.0, 0
-    sign = 1.0 if theta > 0.0 else -1.0
-    w_max = np.sqrt(abs(theta))
-
-    pan_a = np.empty(_MAX_STACK)
-    pan_b = np.empty(_MAX_STACK)
-    pan_v = np.empty(_MAX_STACK)
-    pan_e = np.empty(_MAX_STACK)
-    pan_a[0] = 0.0
-    pan_b[0] = w_max
-    v, e = _gk15_panels(pan_a[:1], pan_b[:1], sign)
-    pan_v[0], pan_e[0] = v[0], e[0]
-    count = 1
-    splits = 0
-    while True:
-        total = float(pan_v[:count].sum())
-        err_total = float(pan_e[:count].sum())
-        worst = int(np.argmax(pan_e[:count]))
-        if err_total <= max(abs_tol, rel_tol * abs(total)):
-            return sign * total, 0
-        if pan_b[worst] - pan_a[worst] <= 64.0 * _EPS * w_max:
-            return sign * total, 0  # roundoff floor; cannot refine further
-        if splits >= max_panels or count >= _MAX_STACK - 1:
-            return sign * total, 1
-        a = pan_a[worst]
-        b = pan_b[worst]
-        mid = 0.5 * (a + b)
-        children_a = np.array([a, mid])
-        children_b = np.array([mid, b])
-        v, e = _gk15_panels(children_a, children_b, sign)
-        pan_b[worst] = mid
-        pan_v[worst], pan_e[worst] = v[0], e[0]
-        pan_a[count] = mid
-        pan_b[count] = b
-        pan_v[count], pan_e[count] = v[1], e[1]
-        count += 1
-        splits += 1
-
-
-def _passthrough(func):
-    return func
-
-
-theta_root_numpy = _make_theta_root(arc_core_numpy, _passthrough)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True)
-    arc_core_numba = _make_arc_core(_jit(_integrand_w_scalar), _jit)
-    theta_root_numba = _make_theta_root(arc_core_numba, _jit)
-
-    @_jit
-    def _arc_batch_numba(thetas, abs_tol, rel_tol, max_panels, out, status):
-        for i in range(thetas.shape[0]):
-            out[i], status[i] = arc_core_numba(thetas[i], abs_tol, rel_tol, max_panels)
-
-    @_jit
-    def _theta_batch_numba(ts, quad_abs, quad_rel, root_tol, max_iter, max_panels,
-                           out, status):
-        for i in range(ts.shape[0]):
-            out[i], status[i] = theta_root_numba(
-                ts[i], quad_abs, quad_rel, root_tol, max_iter, max_panels
-            )
-
-    _arc_core = arc_core_numba
-    _theta_root = theta_root_numba
-else:
-    arc_core_numba = None
-    theta_root_numba = None
-    _arc_core = arc_core_numpy
-    _theta_root = theta_root_numpy
-
-
-# ---------------------------------------------------------------------------
-# python-facing wrappers
-# ---------------------------------------------------------------------------
-
-def _max_panels(cfg):
-    return 100 * cfg.max_iterations
-
-
-def arc_integral_raw(theta, cfg):
-    """(value, status) without error translation; theta must be < pole."""
-    return _arc_core(float(theta), cfg.quad_abs_tol, cfg.quad_rel_tol, _max_panels(cfg))
-
-
-def theta_root_raw(t, cfg):
-    return _theta_root(
-        float(t), cfg.quad_abs_tol, cfg.quad_rel_tol,
-        cfg.root_tol, cfg.max_iterations, _max_panels(cfg),
-    )
-
-
-def arc_integral_batch(thetas, cfg):
-    """Arc integral over an array of thetas; returns (values, statuses)."""
+def arc_integral_batch(thetas, cfg=None):
+    """I(theta) over an array; returns (values, status).  cfg is unused:
+    the closed form has no tolerance."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    out = np.empty_like(thetas)
-    status = np.zeros(thetas.shape[0], dtype=np.int64)
-    if NUMBA_ENABLED:
-        _arc_batch_numba(thetas, cfg.quad_abs_tol, cfg.quad_rel_tol,
-                         _max_panels(cfg), out, status)
-    else:
-        for i in range(thetas.shape[0]):
-            out[i], status[i] = arc_core_numpy(
-                thetas[i], cfg.quad_abs_tol, cfg.quad_rel_tol, _max_panels(cfg)
-            )
-    return out, status
+    values = np.full_like(thetas, np.nan)
+    status = np.zeros(thetas.shape, dtype=np.int64)
+    ok = np.isfinite(thetas) & (thetas < THETA_POLE)
+    status[~ok] = 1
+    near = ok & (np.abs(thetas) < ARC_SEAM)
+    if near.any():
+        th = thetas[near]
+        values[near] = th * np.sqrt(np.abs(th)) * _horner(_ARC_SERIES, th)
+    far = ok & ~near
+    if far.any():
+        th = thetas[far]
+        u = SQRT2 * th
+        y = np.where(th > 0.0, 1.0 - u, 1.0 / (1.0 - u))
+        values[far] = np.sign(th) * _k_and_slope(y)[0] / SQRT2
+    return values, status
+
+
+def _theta_far(ts, cfg):
+    """Newton iteration for |t| >= THETA_SEAM; returns (thetas, status)."""
+    target = SQRT2 * (2.0 / 3.0) * np.abs(ts) * np.sqrt(np.abs(ts))
+    lo = 1.0 + target
+    hi = 2.0 + target
+    z = 0.5 * (lo + hi)
+    tol = max(cfg.root_tol, 64.0 * _EPS)
+    active = np.ones(ts.shape, dtype=bool)
+    for _ in range(cfg.max_iterations):
+        k, slope = _k_and_slope(1.0 / z)
+        resid = k - target
+        lo = np.where(resid < 0.0, z, lo)
+        hi = np.where(resid > 0.0, z, hi)
+        z_new = z - resid / slope
+        z_new = np.where((z_new >= lo) & (z_new <= hi), z_new, 0.5 * (lo + hi))
+        converged = np.abs(z_new - z) <= tol * z_new
+        z = np.where(active, z_new, z)
+        active &= ~converged
+        if not active.any():
+            break
+    thetas = np.where(ts > 0.0, (1.0 - 1.0 / z) / SQRT2, (1.0 - z) / SQRT2)
+    return thetas, active.astype(np.int64)
 
 
 def theta_root_batch(ts, cfg):
-    """Inversion over an array of t values; returns (thetas, statuses)."""
+    """Unique theta < 1/sqrt2 with I(theta) = (2/3)|t|^(3/2) sgn(t), over
+    an array of t; returns (thetas, status).  Non-finite t is a ValueError."""
     ts = np.ascontiguousarray(ts, dtype=np.float64)
-    out = np.empty_like(ts)
-    status = np.zeros(ts.shape[0], dtype=np.int64)
-    if NUMBA_ENABLED:
-        _theta_batch_numba(
-            ts, cfg.quad_abs_tol, cfg.quad_rel_tol,
-            cfg.root_tol, cfg.max_iterations, _max_panels(cfg), out, status,
-        )
-    else:
-        for i in range(ts.shape[0]):
-            out[i], status[i] = theta_root_numpy(
-                ts[i], cfg.quad_abs_tol, cfg.quad_rel_tol,
-                cfg.root_tol, cfg.max_iterations, _max_panels(cfg),
-            )
-    return out, status
+    finite = np.isfinite(ts)
+    if not finite.all():
+        raise ValueError(f"t must be finite, got {ts[~finite][0]}")
+    thetas = np.empty_like(ts)
+    status = np.zeros(ts.shape, dtype=np.int64)
+    near = np.abs(ts) < THETA_SEAM
+    if near.any():
+        t = ts[near]
+        thetas[near] = t * _horner(_THETA_SERIES, t)
+    if not near.all():
+        thetas[~near], status[~near] = _theta_far(ts[~near], cfg)
+    return thetas, status
+
+
+def arc_integral_raw(theta, cfg=None):
+    """(value, status) of one theta: a batch of one."""
+    values, status = arc_integral_batch(np.array([theta], dtype=np.float64), cfg)
+    return float(values[0]), int(status[0])
+
+
+def theta_root_raw(t, cfg):
+    """(theta, status) of one t: a batch of one."""
+    thetas, status = theta_root_batch(np.array([t], dtype=np.float64), cfg)
+    return float(thetas[0]), int(status[0])

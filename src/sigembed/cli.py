@@ -153,9 +153,6 @@ def _parse_event(text, parser):
 def _numeric_config(args):
     cfg = NumericConfig.from_env()
     overrides = {}
-    if getattr(args, "quad_tol", None) is not None:
-        overrides["quad_abs_tol"] = args.quad_tol
-        overrides["quad_rel_tol"] = args.quad_tol
     if getattr(args, "root_tol", None) is not None:
         overrides["root_tol"] = args.root_tol
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
@@ -215,12 +212,17 @@ def cmd_misner(args, parser):
                 "outside the half-space y1 - tau > 0", file=sys.stderr,
             )
             return 1
+        # T and phi_raw follow from the base event under the group action
+        # (T fixed, phi_raw + 2 x rapidity per power): for large |k| the
+        # boosted y1 - tau rounds to 0 and cannot be mapped directly.
+        base = to_misner(event)
         columns = ["k", "tau", "y1", "T", "phi_raw"]
         rows = []
         for k in range(-args.kmax, args.kmax + 1):
-            copy = boost(event, dataclasses.replace(_GENERATOR, power=k))
-            m = to_misner(copy)
-            rows.append([k, copy.tau, float(copy.y[0]), m.T, m.phi_raw])
+            spec = dataclasses.replace(_GENERATOR, power=k)
+            copy = boost(event, spec)
+            rows.append([k, copy.tau, float(copy.y[0]), base.T,
+                         base.phi_raw + 2.0 * spec.total_rapidity])
         _emit_table(columns, rows, run_cfg)
         return 0
 
@@ -382,7 +384,6 @@ def build_parser():
                        help="translation of the solution family (explicit only)")
     embed.add_argument("--output", default=None)
     embed.add_argument("--format", choices=["csv", "json"], default="csv")
-    embed.add_argument("--quad-tol", type=float, default=None)
     embed.add_argument("--root-tol", type=float, default=None)
 
     misner = sub.add_parser("misner", help="write composed quotient rows or orbit copies")
@@ -397,7 +398,6 @@ def build_parser():
     misner.add_argument("--kmax", type=int, default=3)
     misner.add_argument("--output", default=None)
     misner.add_argument("--format", choices=["csv", "json"], default="csv")
-    misner.add_argument("--quad-tol", type=float, default=None)
     misner.add_argument("--root-tol", type=float, default=None)
 
     verify = sub.add_parser("verify", help="run the verification battery")
@@ -409,7 +409,6 @@ def build_parser():
                         help="verify a user metric model file instead")
     verify.add_argument("--n", type=int, default=2)
     verify.add_argument("--output", default=None)
-    verify.add_argument("--quad-tol", type=float, default=None)
     verify.add_argument("--root-tol", type=float, default=None)
 
     # values like "-3:3:601" or "-1,0" must parse as arguments, not flags

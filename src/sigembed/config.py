@@ -1,4 +1,4 @@
-"""Numeric settings shared by the quadrature, root-finding and FD layers."""
+"""Numeric settings shared by the root-finding and FD layers."""
 
 import os
 from dataclasses import dataclass, replace
@@ -9,8 +9,7 @@ import numpy as np
 # coordinate as fd_step * max(1, |x|).
 DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
-# Environment variable that overrides the default tolerance bundle
-# (quad_abs_tol, quad_rel_tol, root_tol) with a single value.
+# Environment variable that overrides the default root_tol.
 TOL_ENV_VAR = "SIGEMBED_TOL"
 
 
@@ -18,14 +17,12 @@ TOL_ENV_VAR = "SIGEMBED_TOL"
 class NumericConfig:
     """Tolerances and iteration budgets for the numerical kernels."""
 
-    quad_abs_tol: float = 1e-12
-    quad_rel_tol: float = 1e-12
     root_tol: float = 1e-12
     max_iterations: int = 200
     fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        for name in ("quad_abs_tol", "quad_rel_tol", "root_tol", "fd_step"):
+        for name in ("root_tol", "fd_step"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -43,7 +40,7 @@ class NumericConfig:
             tol = float(raw)
         except ValueError as exc:
             raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-        return replace(cfg, quad_abs_tol=tol, quad_rel_tol=tol, root_tol=tol)
+        return replace(cfg, root_tol=tol)
 
 
 def fd_steps(coords, base_step):

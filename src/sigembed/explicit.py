@@ -6,9 +6,10 @@ solves the implicit relation
 
     I(theta) = (2/3) |t|^(3/2) sgn(t),
 
-with I the singular arc integral evaluated in ``_kernels``; it is strictly
-increasing with theta(0) = 0.  The embedding itself must traverse the
-curve with the opposite time orientation, theta_emb(t) = theta_of_t(-t):
+with I the singular arc integral, evaluated in closed form in ``_kernels``;
+it is strictly increasing with theta(0) = 0.  The embedding itself must
+traverse the curve with the opposite time orientation,
+theta_emb(t) = theta_of_t(-t):
 the factor 4/(sqrt2 - 2 theta)^4 - 1 shares the sign of theta on this
 branch, so only that orientation makes the induced line element
 -theta'^2 + xi'^2 equal -t, i.e. makes the map an isometry of
@@ -78,18 +79,14 @@ def arc_integral(theta, cfg=None):
     Negative for theta < 0; diverges as theta -> 1/sqrt(2) from below.
     """
     theta = float(theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if theta >= THETA_POLE:
         raise DivergenceError(
             f"arc integral diverges for theta >= 1/sqrt(2); got theta = {theta}"
         )
-    cfg = cfg or NumericConfig()
-    value, status = _kernels.arc_integral_raw(theta, cfg)
-    if status != 0:
-        raise ConvergenceError(
-            f"quadrature budget exhausted at theta = {theta}; "
-            "point is too close to the pole for the requested tolerance"
-        )
-    return value
+    values, _ = _kernels.arc_integral_batch(np.array([theta]), cfg)
+    return float(values[0])
 
 
 def t_of_theta(theta, cfg=None):
@@ -101,25 +98,19 @@ def t_of_theta(theta, cfg=None):
 def theta_of_t(t, cfg=None):
     """Unique theta < 1/sqrt(2) with I(theta) = (2/3)|t|^(3/2) sgn(t).
 
-    Strictly increasing in t; root acceptance is relative to the target
-    arc length (root_tol), floored by the quadrature tolerances.
+    Strictly increasing in t; a batch of one through theta_of_t_grid.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    cfg = cfg or NumericConfig()
-    theta, status = _kernels.theta_root_raw(t, cfg)
-    if status != 0:
-        raise ConvergenceError(f"theta inversion did not converge for t = {t}")
-    return float(theta)
+    return float(theta_of_t_grid([float(t)], cfg)[0])
 
 
 def theta_of_t_grid(ts, cfg=None):
-    """theta_of_t over an array of t values (kernel batch path)."""
+    """theta_of_t over an array of t values; ValueError for non-finite t,
+    ConvergenceError where the Newton iteration exhausts max_iterations."""
     cfg = cfg or NumericConfig()
-    thetas, status = _kernels.theta_root_batch(np.asarray(ts, dtype=float), cfg)
+    ts = np.asarray(ts, dtype=float)
+    thetas, status = _kernels.theta_root_batch(ts, cfg)
     if np.any(status != 0):
-        bad = float(np.asarray(ts, dtype=float)[status != 0][0])
+        bad = float(ts[status != 0][0])
         raise ConvergenceError(f"theta inversion did not converge for t = {bad}")
     return thetas
 

@@ -201,7 +201,7 @@ def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=None):
     from . import _kernels
     values, status = _kernels.arc_integral_batch(thetas, cfg)
     if np.any(status != 0):
-        raise RuntimeError("arc integral did not converge on the round-trip grid")
+        raise RuntimeError("round-trip grid reaches the pole of the arc integral")
     t_back = np.sign(values) * (1.5 * np.abs(values)) ** (2.0 / 3.0)
     worst = float(np.abs(t_back - ts).max())
     increasing = bool(np.all(np.diff(thetas) > 0.0))

@@ -13,8 +13,9 @@ SQRT2 = float(np.sqrt(2.0))
 def simpson_raw_arc(theta, n=1_000_001):
     """Composite-Simpson arc integral on the raw integrand.
 
-    Independent of the package quadrature: uniform panels, no substitution,
-    no adaptivity.  Accuracy is limited to ~N^-1.5 by the sqrt kink at 0.
+    Independent of the package's closed form: uniform panels, no
+    substitution, no adaptivity.  Accuracy is limited to ~N^-1.5 by the
+    sqrt kink at 0.
     """
     if theta == 0.0:
         return 0.0

@@ -75,16 +75,6 @@ def test_arc_integral_divergence_error():
         arc_integral(1.0)
 
 
-def test_arc_integral_tolerance_self_consistency():
-    cfg = NumericConfig()
-    tight = NumericConfig(quad_abs_tol=cfg.quad_abs_tol / 2,
-                          quad_rel_tol=cfg.quad_rel_tol / 2)
-    for theta in [0.4, -3.0, 0.69]:
-        a = arc_integral(theta, cfg)
-        b = arc_integral(theta, tight)
-        assert abs(a - b) <= max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(a))
-
-
 def test_t_of_theta_roundtrip(cfg):
     for t in [-5.0, -1.0, -0.1, 0.1, 1.0, 5.0]:
         assert t_of_theta(theta_of_t(t, cfg), cfg) == pytest.approx(t, abs=1e-10)
@@ -116,6 +106,21 @@ def test_theta_of_t_large_negative(cfg):
     _, large = asymptotic_theta(-100.0)
     assert large == pytest.approx(-2000.0 / 3.0, abs=1e-9)
     assert abs(theta_of_t(-100.0, cfg) - large) / abs(large) <= 1e-2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad, cfg):
+    from sigembed import _kernels
+
+    ts = np.array([-2.0, 0.0, bad, 3.0])
+    with pytest.raises(ValueError):
+        theta_of_t_grid(ts, cfg)
+    with pytest.raises(ValueError):
+        _kernels.theta_root_batch(ts, cfg)
+    with pytest.raises(ValueError):
+        theta_of_t(bad, cfg)
+    with pytest.raises(ValueError):
+        arc_integral(bad, cfg)
 
 
 def test_theta_of_t_convergence_error():

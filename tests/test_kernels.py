@@ -1,5 +1,15 @@
-"""Cross-backend agreement of the compiled and pure-numpy kernels."""
+"""Arc-length kernels against independent oracles.
 
+The closed form (Carlson's R_D), the series used near theta = 0 and the
+vectorised inversion are checked against a uniform Simpson rule and
+against mpmath at 30+ digits: quadrature of the arc integrand for I, and
+a Newton iteration on that quadrature for theta(t).  The series tables
+are re-derived with sympy.
+"""
+
+from math import comb
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,47 +19,119 @@ from sigembed import _kernels as kernels
 from sigembed.config import NumericConfig
 
 CFG = NumericConfig()
-MAX_PANELS = 100 * CFG.max_iterations
+EPS = float(np.finfo(float).eps)
+MP_DPS = 40
 
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
+
+def mp_arc(theta):
+    """I(theta) by mpmath quadrature in y (see the _kernels docstring),
+    split geometrically towards y = 0 where the integrand grows as y^-2."""
+    with mp.workdps(MP_DPS):
+        th = mp.mpf(theta)
+        if th == 0:
+            return mp.mpf(0)
+        s2 = mp.sqrt(2)
+        y = 1 - s2 * th if th > 0 else 1 / (1 - s2 * th)
+        pts = [y]
+        while 4 * pts[-1] < 1:
+            pts.append(4 * pts[-1])
+        pts.append(mp.mpf(1))
+        val = mp.quad(lambda v: mp.sqrt((1 - v**2) * (1 + v**2)) / v**2, pts) / s2
+        return val if th > 0 else -val
+
+
+def mp_theta(t, start):
+    """Root of I(theta) = (2/3)|t|^(3/2) sgn(t) by Newton in mpmath."""
+    with mp.workdps(MP_DPS):
+        target = mp.mpf(2) / 3 * abs(mp.mpf(t)) ** mp.mpf(1.5) * mp.sign(mp.mpf(t))
+        th = mp.mpf(start)
+        for _ in range(6):
+            slope = mp.sqrt(abs(4 / (mp.sqrt(2) - 2 * th) ** 4 - 1))
+            th -= (mp_arc(th) - target) / slope
+        return th
 
 
 # 0.705 is the closest pole approach a uniform 200k-panel Simpson rule can
-# still resolve; the adaptive kernels go much closer (covered below).
+# still resolve; the mpmath oracle below goes much closer.
 @pytest.mark.parametrize("theta", [0.0, 0.1, -0.5, 0.69, -50.0, 0.705, -666.8])
 def test_numpy_backend_against_oracle(theta):
-    value, status = kernels.arc_core_numpy(
-        theta, CFG.quad_abs_tol, CFG.quad_rel_tol, MAX_PANELS
-    )
-    assert status == 0
+    values, status = kernels.arc_integral_batch(np.array([theta]), CFG)
+    assert status[0] == 0
     oracle = simpson_substituted_arc(theta, n=200_001)
-    assert value == pytest.approx(oracle, abs=1e-9, rel=1e-9)
+    assert values[0] == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
 
-@needs_numba
-@pytest.mark.parametrize("theta", [0.1, -0.5, 0.69, -50.0, 0.7071, -666.8])
-def test_backends_agree_on_arc(theta):
-    v_np, s_np = kernels.arc_core_numpy(
-        theta, CFG.quad_abs_tol, CFG.quad_rel_tol, MAX_PANELS
-    )
-    v_nb, s_nb = kernels.arc_core_numba(
-        theta, CFG.quad_abs_tol, CFG.quad_rel_tol, MAX_PANELS
-    )
-    assert s_np == s_nb == 0
-    assert v_np == pytest.approx(v_nb, abs=1e-13, rel=1e-13)
+def test_carlson_rd_against_mpmath():
+    ys = np.linspace(0.0, 1.0, 41)
+    values = kernels.carlson_rd(ys * ys)
+    for y, value in zip(ys, values):
+        with mp.workdps(30):
+            y2 = mp.mpf(y) ** 2
+            ref = mp.elliprd(1 - y2, 1 + y2, 1)
+        assert abs(value - ref) <= 4.0 * EPS * ref
 
 
-@needs_numba
-@pytest.mark.parametrize("t", [0.1, -5.0, 100.0, -100.0, 0.001])
-def test_backends_agree_on_roots(t):
-    args = (CFG.quad_abs_tol, CFG.quad_rel_tol, CFG.root_tol,
-            CFG.max_iterations, MAX_PANELS)
-    th_np, s_np = kernels.theta_root_numpy(t, *args)
-    th_nb, s_nb = kernels.theta_root_numba(t, *args)
-    assert s_np == s_nb == 0
-    assert th_np == pytest.approx(th_nb, abs=1e-12)
+SEAM = kernels.ARC_SEAM
+
+
+@pytest.mark.parametrize("theta", [
+    1e-8, -1e-8, 1e-4, -1e-4,
+    np.nextafter(SEAM, 0.0), SEAM, -np.nextafter(SEAM, 0.0), -SEAM,
+    0.1, 0.69, 0.7071, -1.0, -666.8, -1e4,
+])
+def test_arc_integral_against_mpmath(theta):
+    value = kernels.arc_integral_batch(np.array([theta]), CFG)[0][0]
+    ref = mp_arc(theta)
+    # rounding theta itself moves I by |theta I'(theta)/I(theta)| ulps
+    slope = mp.sqrt(abs(4 / (mp.sqrt(2) - 2 * mp.mpf(theta)) ** 4 - 1))
+    condition = float(abs(theta * slope / ref))
+    assert abs(value - ref) <= max(1e-13, 64.0 * EPS * condition) * abs(ref)
+
+
+T_SEAM = kernels.THETA_SEAM
+
+
+@pytest.mark.parametrize("t", [
+    1e-3, -1e-3, 0.05, -0.05,
+    np.nextafter(T_SEAM, 0.0), T_SEAM, -np.nextafter(T_SEAM, 0.0), -T_SEAM,
+    3.0, -3.0, 100.0, -100.0, 5000.0,
+])
+def test_theta_root_against_mpmath(t):
+    thetas, status = kernels.theta_root_batch(np.array([t]), CFG)
+    assert status[0] == 0
+    ref = mp_theta(t, thetas[0])
+    assert abs(thetas[0] - ref) <= 1e-13 * abs(ref)
+
+
+def test_series_tables_match_sympy_derivation():
+    import sympy as sp
+    from sympy.polys.ring_series import rs_pow, rs_series_reversion
+    from sympy.polys.rings import ring
+
+    # With u = sqrt2 theta: I = u |u|^(1/2) C(u) / sqrt2, where
+    # sum b_m u^m = sqrt(((1 - u)^-4 - 1)/u) and c_m = b_m / (m + 3/2), and
+    # t = 2^(1/3) v with v = u (3 C(u)/4)^(2/3).
+    n_arc = len(kernels._ARC_SERIES)
+    n_inv = len(kernels._THETA_SERIES)
+    _, u, v = ring("u, v", sp.QQ)
+    h = sum(comb(m + 4, 3) * u**m for m in range(n_arc))
+    b = 2 * rs_pow(h / 4, sp.Rational(1, 2), u, n_arc)
+    c = [b.coeff(u**m) / sp.Rational(2 * m + 3, 2) for m in range(n_arc)]
+    c_series = sum(cm * u**m for m, cm in enumerate(c))
+    v_of_u = u * rs_pow(c_series * sp.Rational(3, 4), sp.Rational(2, 3), u, n_arc)
+    u_of_v = rs_series_reversion(v_of_u, u, n_inv + 1, v)
+    d = [sp.QQ.to_sympy(u_of_v.coeff(v**k)) for k in range(1, n_inv + 1)]
+    with mp.workdps(30):
+        arc = [float(mp.mpf(cm.p) / cm.q * mp.mpf(2) ** (mp.mpf(1) / 4 + mp.mpf(m) / 2))
+               for m, cm in enumerate(c)]
+        inv = [float(mp.mpf(dk.p) / dk.q / (mp.sqrt(2) * mp.cbrt(2) ** (k + 1)))
+               for k, dk in enumerate(d)]
+    np.testing.assert_array_max_ulp(np.array(kernels._ARC_SERIES), np.array(arc), 1)
+    np.testing.assert_array_max_ulp(np.array(kernels._THETA_SERIES), np.array(inv), 1)
+    assert kernels._THETA_SERIES[0] == kernels.SEED_SLOPE
+    with mp.workdps(30):
+        two_j1 = 2 * mp.quad(lambda x: x**2 / mp.sqrt(1 - x**4), [0, 1])
+    assert kernels._TWO_J1 == float(two_j1)
 
 
 def test_batch_wrappers_match_scalar():
@@ -68,11 +150,19 @@ def test_batch_wrappers_match_scalar():
         assert v == single
 
 
-def test_budget_exhaustion_reports_status():
-    # essentially at the pole: the integral is ~1e9 and the panel budget
-    # cannot meet a 1e-12 relative tolerance
-    near_pole = kernels.THETA_POLE - 1e-12
-    _, status = kernels.arc_core_numpy(
-        near_pole, CFG.quad_abs_tol, CFG.quad_rel_tol, 50
-    )
-    assert status == 1
+def test_arc_status_marks_pole_and_non_finite():
+    thetas = np.array([0.3, kernels.THETA_POLE, 1.0, np.nan, -np.inf])
+    values, status = kernels.arc_integral_batch(thetas, CFG)
+    assert status.tolist() == [0, 1, 1, 1, 1]
+    assert np.isfinite(values[0]) and np.isnan(values[1:]).all()
+
+
+def test_newton_is_insensitive_to_root_tol():
+    # quadratic convergence: a looser stop still lands on the same float
+    # to a few ulps, so root_tol caps the work, not the accuracy.  Large |t|
+    # puts the root within an ulp of the bracket's asymptote side.
+    ts = np.concatenate([np.linspace(-30.0, 30.0, 6001), np.linspace(-1e4, 1e4, 2001),
+                         -np.logspace(4, 12, 81), np.logspace(4, 8, 41)])
+    tight = kernels.theta_root_batch(ts, CFG)[0]
+    loose = kernels.theta_root_batch(ts, NumericConfig(root_tol=1e-10))[0]
+    np.testing.assert_allclose(loose, tight, rtol=1e-14, atol=0.0)
