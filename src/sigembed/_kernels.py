@@ -82,6 +82,11 @@ def _horner(coeffs, x):
     return acc
 
 
+def arc_series(thetas):
+    """S(theta) = I(theta) / (theta |theta|^(1/2)) for |theta| < ARC_SEAM."""
+    return _horner(_ARC_SERIES, thetas)
+
+
 def carlson_rd(y2):
     """R_D(1 - y2, 1 + y2, 1) by Carlson's duplication.
 
@@ -121,7 +126,7 @@ def arc_integral_batch(thetas, cfg=None):
     near = ok & (np.abs(thetas) < ARC_SEAM)
     if near.any():
         th = thetas[near]
-        values[near] = th * np.sqrt(np.abs(th)) * _horner(_ARC_SERIES, th)
+        values[near] = th * np.sqrt(np.abs(th)) * arc_series(th)
     far = ok & ~near
     if far.any():
         th = thetas[far]

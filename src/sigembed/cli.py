@@ -23,15 +23,13 @@ import numpy as np
 
 from .config import NumericConfig
 from .errors import RegionError, SigembedError
-from .explicit import HyperbolaFamily, embed_explicit_grid
-from .metric import ChartPoint, lc_regularity_at
+from .explicit import HyperbolaFamily, explicit_embedding_map
 from .minkowski import MinkowskiEvent, psi_toy_map
-from .misner import BoostSpec, boost, compose_embedding, to_misner
+from .misner import (TWO_PI, BoostSpec, boost_tau_y1, canonical_phi,
+                     quotient_map_coords, source_embedding_map, to_misner)
 from .modelfile import load_model
-from .verify import CheckResult, run_all
+from .verify import run_all, run_user_model
 from . import __version__
-
-_GENERATOR = BoostSpec()
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -150,6 +148,13 @@ def _parse_event(text, parser):
     return MinkowskiEvent(values[0], values[1:])
 
 
+def _chart_grid(t_range, x_fixed):
+    """(count, n) chart coordinates: the t-grid with fixed spatial values."""
+    lo, hi, count = t_range
+    return np.column_stack([np.linspace(lo, hi, count)]
+                           + [np.full(count, v) for v in x_fixed])
+
+
 def _numeric_config(args):
     cfg = NumericConfig.from_env()
     overrides = {}
@@ -166,33 +171,23 @@ def cmd_embed(args, parser):
             "files carry no spatial embedding (use 'verify --model-file')"
         )
     n = args.n
-    lo, hi, count = args.t_range
-    x_fixed = args.x_fixed
     run_cfg = RunConfig(
-        command="embed", model=args.model, n=n, t_range=(lo, hi, count),
-        x_fixed=x_fixed, shift=args.shift, tolerances=cfg,
+        command="embed", model=args.model, n=n, t_range=args.t_range,
+        x_fixed=args.x_fixed, shift=args.shift, tolerances=cfg,
         output_path=args.output, format=args.format,
     )
-    ts = np.linspace(lo, hi, count)
     if args.embedding == "explicit":
-        family = HyperbolaFamily(args.shift)
-        theta, xi = embed_explicit_grid(ts, family, cfg)
-        columns = (["t"] + [f"x{i}" for i in range(1, n)] + ["theta", "xi"]
-                   + [f"y{i}" for i in range(2, n + 1)])
-        rows = [
-            [t] + list(x_fixed) + [th, x1] + list(x_fixed)
-            for t, th, x1 in zip(ts, theta, xi)
-        ]
+        map_ = explicit_embedding_map(n, HyperbolaFamily(args.shift), cfg)
+        image_columns = ["theta", "xi"] + [f"y{i}" for i in range(2, n + 1)]
     else:
-        map_ = psi_toy_map(n)
+        lo = args.t_range[0]
         if lo <= -1.0:
             parser.error(f"--t-range: the psi embedding needs t > -1, got lo={lo}")
-        coords = np.column_stack([ts] + [np.full(count, v) for v in x_fixed])
-        events = map_.value_batch(coords)
-        columns = (["t"] + [f"x{i}" for i in range(1, n)] + ["tau"]
-                   + [f"y{i}" for i in range(1, n + 1)])
-        rows = [list(c) + list(e) for c, e in zip(coords, events)]
-    _emit_table(columns, rows, run_cfg)
+        map_ = psi_toy_map(n)
+        image_columns = ["tau"] + [f"y{i}" for i in range(1, n + 1)]
+    columns = ["t"] + [f"x{i}" for i in range(1, n)] + image_columns
+    coords = _chart_grid(args.t_range, args.x_fixed)
+    _emit_table(columns, np.column_stack([coords, map_.value(coords)]), run_cfg)
     return 0
 
 
@@ -206,43 +201,41 @@ def cmd_misner(args, parser):
     )
     if args.orbit_event is not None:
         event = args.orbit_event
-        if not float(event.y[0]) - event.tau > 0.0:
+        # T and phi_raw follow from the base event under the group action
+        # (T fixed, phi_raw + 2 x rapidity per power): for large |k| the
+        # boosted y1 - tau rounds to 0 and cannot be mapped directly.
+        try:
+            base = to_misner(event)
+        except RegionError:
             print(
                 f"error: --orbit-event (tau={event.tau}, y1={event.y[0]}) lies "
                 "outside the half-space y1 - tau > 0", file=sys.stderr,
             )
             return 1
-        # T and phi_raw follow from the base event under the group action
-        # (T fixed, phi_raw + 2 x rapidity per power): for large |k| the
-        # boosted y1 - tau rounds to 0 and cannot be mapped directly.
-        base = to_misner(event)
-        columns = ["k", "tau", "y1", "T", "phi_raw"]
-        rows = []
-        for k in range(-args.kmax, args.kmax + 1):
-            spec = dataclasses.replace(_GENERATOR, power=k)
-            copy = boost(event, spec)
-            rows.append([k, copy.tau, float(copy.y[0]), base.T,
-                         base.phi_raw + 2.0 * spec.total_rapidity])
-        _emit_table(columns, rows, run_cfg)
+        powers = np.arange(-args.kmax, args.kmax + 1)
+        rapidity = BoostSpec().rapidity * powers
+        tau, y1 = boost_tau_y1(event.tau, float(event.y[0]), rapidity)
+        _emit_table(["k", "tau", "y1", "T", "phi_raw"],
+                    np.column_stack([powers, tau, y1, np.full(powers.size, base.T),
+                                     base.phi_raw + 2.0 * rapidity]), run_cfg)
         return 0
 
-    lo, hi, count = args.t_range
-    ts = np.linspace(lo, hi, count)
+    coords = _chart_grid(args.t_range, args.x_fixed)
     family = HyperbolaFamily(args.shift) if args.embedding == "explicit" else None
-    columns = ["t", "T", "phi", "k"]
-    rows = []
-    for t in ts:
-        point = ChartPoint(t, list(args.x_fixed))
-        try:
-            m = compose_embedding(point, args.embedding, family, cfg)
-        except RegionError as exc:
-            print(
-                f"error: composed image leaves the half-space at t = {float(t)!r} "
-                f"(tau = {exc.tau}, y1 = {exc.y1})", file=sys.stderr,
-            )
-            return 1
-        rows.append([t, m.T, m.phi, m.branch])
-    _emit_table(columns, rows, run_cfg)
+    events = source_embedding_map(args.embedding, n, family, cfg).value(coords)
+    try:
+        quotient = quotient_map_coords(events)
+    except RegionError as exc:
+        print(
+            f"error: composed image leaves the half-space at "
+            f"t = {float(coords[exc.index, 0])!r} "
+            f"(tau = {exc.tau}, y1 = {exc.y1})", file=sys.stderr,
+        )
+        return 1
+    phi = canonical_phi(quotient[:, 1])
+    branch = np.rint((quotient[:, 1] - phi) / TWO_PI).astype(int)
+    _emit_table(["t", "T", "phi", "k"],
+                np.column_stack([coords[:, 0], quotient[:, 0], phi, branch]), run_cfg)
     return 0
 
 
@@ -250,11 +243,11 @@ def cmd_verify(args, parser):
     cfg = _numeric_config(args)
     run_cfg = RunConfig(
         command="verify", model="user-file" if args.model_file else "toy",
-        n=args.n, tolerances=cfg, output_path=args.output, format="json",
+        tolerances=cfg, output_path=args.output, format="json",
     )
     start = time.perf_counter()
     if args.model_file:
-        results = _verify_user_model(args.model_file)
+        results = run_user_model(load_model(args.model_file))
     else:
         results = run_all(cfg=cfg, perturb_scale=args.perturb_scale,
                           quick=not args.full)
@@ -275,92 +268,6 @@ def cmd_verify(args, parser):
         )
         return 1
     return 0
-
-
-def _verify_user_model(path):
-    from .metric import slice_metric
-
-    model = load_model(path)
-    n = model.dimension
-    rng = np.random.default_rng(3)
-    pd_fail = 0
-    for _ in range(200):
-        t = rng.uniform(-3.0, 3.0)
-        x = rng.uniform(-2.0, 2.0, size=n - 1)
-        _, pd = slice_metric(model, t, x)
-        if not pd:
-            pd_fail += 1
-    results = [
-        CheckResult(
-            name="slice_positive_definite",
-            passed=pd_fail == 0,
-            max_residual=float(pd_fail),
-            grid="200 seeded points, t in [-3, 3]",
-        ),
-        _user_signature_sweep(model),
-        _user_lc_regularity(model),
-        _user_radical(model),
-    ]
-    return results
-
-
-def _user_lc_regularity(model, samples=200):
-    # on t = 0 the null directions span the radical (a, 0, ..., 0) for any
-    # positive-definite spatial block
-    n = model.dimension
-    rng = np.random.default_rng(5)
-    failures = 0
-    for _ in range(samples):
-        x = rng.uniform(-2.0, 2.0, size=n - 1)
-        v = np.zeros(n)
-        v[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        if not lc_regularity_at(model, ChartPoint(0.0, x), v, 1e-9):
-            failures += 1
-    return CheckResult(
-        name="user_lc_regularity",
-        passed=failures == 0,
-        max_residual=float(failures),
-        grid=f"{samples} null directions on t=0, n={n}",
-    )
-
-
-def _user_signature_sweep(model):
-    from .metric import SignatureClass, classify_signature_grid
-
-    n = model.dimension
-    ts = np.linspace(-3.0, 3.0, 2001)
-    coords = np.column_stack([ts] + [np.full(ts.size, 0.5)] * (n - 1))
-    classes, _, _, _ = classify_signature_grid(model, coords)
-    expected = np.where(
-        ts < 0, SignatureClass.RIEMANNIAN,
-        np.where(ts > 0, SignatureClass.LORENTZIAN, SignatureClass.DEGENERATE),
-    )
-    mismatches = int(np.sum(classes != expected))
-    return CheckResult(
-        name="user_signature_sweep",
-        passed=mismatches == 0,
-        max_residual=float(mismatches),
-        grid=f"t in [-3, 3] x2001, n={n}",
-    )
-
-
-def _user_radical(model):
-    from .metric import radical_transversality
-
-    n = model.dimension
-    rng = np.random.default_rng(9)
-    failures = 0
-    for _ in range(100):
-        x = rng.uniform(-2.0, 2.0, size=n - 1)
-        _, _, transverse = radical_transversality(model, ChartPoint(0.0, x))
-        if not transverse:
-            failures += 1
-    return CheckResult(
-        name="user_radical_transversality",
-        passed=failures == 0,
-        max_residual=float(failures),
-        grid=f"100 seeded points on t=0, n={n}",
-    )
 
 
 def build_parser():
@@ -407,7 +314,6 @@ def build_parser():
                         help="scale the temporal component (regression fixture)")
     verify.add_argument("--model-file", default=None,
                         help="verify a user metric model file instead")
-    verify.add_argument("--n", type=int, default=2)
     verify.add_argument("--output", default=None)
     verify.add_argument("--root-tol", type=float, default=None)
 

@@ -52,3 +52,22 @@ def fd_steps(coords, base_step):
 
         raise NumericalError(f"finite-difference step underflow/overflow: {steps}")
     return steps
+
+
+def central_diff(func, coords, steps):
+    """Central differences of ``func`` at each row of an (m, n) coordinate
+    array, with (m, n) steps from ``fd_steps``.
+
+    ``func`` maps (m, n) coordinates to (m, ...) values; the result is
+    (m, ..., n), its last axis indexing the differentiated coordinate.
+    """
+    columns = []
+    for k in range(coords.shape[1]):
+        up = coords.copy()
+        dn = coords.copy()
+        up[:, k] += steps[:, k]
+        dn[:, k] -= steps[:, k]
+        diff = np.asarray(func(up)) - np.asarray(func(dn))
+        width = (2.0 * steps[:, k]).reshape((-1,) + (1,) * (diff.ndim - 1))
+        columns.append(diff / width)
+    return np.stack(columns, axis=-1)

@@ -31,13 +31,15 @@ class DivergenceError(DomainError):
 class RegionError(DomainError):
     """Event lies outside the quotient-admissible half-space y1 - tau > 0.
 
-    Carries the offending (tau, y1) pair.
+    Carries the offending (tau, y1) pair and, for an array of events, the
+    flat index of that pair.
     """
 
-    def __init__(self, message, tau=None, y1=None):
+    def __init__(self, message, tau=None, y1=None, index=None):
         super().__init__(message)
         self.tau = tau
         self.y1 = y1
+        self.index = index
 
 
 class PreconditionError(SigembedError):

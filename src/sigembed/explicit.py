@@ -26,7 +26,7 @@ from . import _kernels
 from ._kernels import SEED_SLOPE, SQRT2, THETA_POLE
 from .config import NumericConfig
 from .errors import ConvergenceError, DivergenceError, PoleError
-from .minkowski import EmbeddingMap, MinkowskiEvent
+from .minkowski import EmbeddingMap
 
 
 @dataclass(frozen=True)
@@ -51,33 +51,23 @@ class HyperbolaFamily:
 
 
 def hyperbola_xi(theta, family=HyperbolaFamily()):
-    """xi coordinate of the family member above the given theta.
+    """xi coordinate of the family member above scalar or array theta.
 
     The branch has a pole where the base parameter theta + shift/sqrt(2)
     reaches 1/sqrt(2).
     """
-    theta0 = float(theta) + family.offset
-    if theta0 >= THETA_POLE:
+    theta = np.asarray(theta, dtype=float)
+    theta0 = theta + family.offset
+    beyond = theta0 >= THETA_POLE
+    if beyond.any():
         raise PoleError(
-            f"theta = {theta} is at or beyond the branch pole "
-            f"(base parameter {theta0} >= {THETA_POLE})"
+            f"theta = {theta[beyond][0]} is at or beyond the branch pole "
+            f"(base parameter {theta0[beyond][0]} >= {THETA_POLE})"
         )
     return SQRT2 * theta0 / (SQRT2 - 2.0 * theta0) + family.offset
 
 
-def hyperbola_xi_prime(theta, family=HyperbolaFamily()):
-    """d xi / d theta along the family member (translation invariant)."""
-    theta0 = float(theta) + family.offset
-    if theta0 >= THETA_POLE:
-        raise PoleError(f"theta = {theta} is at or beyond the branch pole")
-    return 2.0 / (SQRT2 - 2.0 * theta0) ** 2
-
-
-def arc_integral(theta, cfg=None):
-    """I(theta) = integral_0^theta sqrt(|4/(sqrt2 - 2 s)^4 - 1|) ds.
-
-    Negative for theta < 0; diverges as theta -> 1/sqrt(2) from below.
-    """
+def _arc_domain(theta):
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -85,14 +75,36 @@ def arc_integral(theta, cfg=None):
         raise DivergenceError(
             f"arc integral diverges for theta >= 1/sqrt(2); got theta = {theta}"
         )
-    values, _ = _kernels.arc_integral_batch(np.array([theta]), cfg)
+    return theta
+
+
+def arc_integral(theta, cfg=None):
+    """I(theta) = integral_0^theta sqrt(|4/(sqrt2 - 2 s)^4 - 1|) ds.
+
+    Negative for theta < 0; diverges as theta -> 1/sqrt(2) from below.
+    """
+    values, _ = _kernels.arc_integral_batch(np.array([_arc_domain(theta)]), cfg)
     return float(values[0])
+
+
+def t_of_theta_grid(thetas, cfg=None):
+    """Source time t with (2/3)|t|^(3/2) sgn(t) = I(theta) over a 1-d
+    array; nan where theta is non-finite or at or beyond the pole.
+
+    Below the arc seam, where I = theta |theta|^(1/2) S(theta) by the
+    series, t = theta (1.5 S(theta))^(2/3), so no power of theta underflows.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    values, _ = _kernels.arc_integral_batch(thetas, cfg)
+    ts = np.sign(values) * (1.5 * np.abs(values)) ** (2.0 / 3.0)
+    near = np.abs(thetas) < _kernels.ARC_SEAM
+    ts[near] = thetas[near] * (1.5 * _kernels.arc_series(thetas[near])) ** (2.0 / 3.0)
+    return ts
 
 
 def t_of_theta(theta, cfg=None):
     """Source time t with (2/3)|t|^(3/2) sgn(t) = I(theta)."""
-    value = arc_integral(theta, cfg)
-    return float(np.sign(value) * (1.5 * abs(value)) ** (2.0 / 3.0))
+    return float(t_of_theta_grid(np.array([_arc_domain(theta)]), cfg)[0])
 
 
 def theta_of_t(t, cfg=None):
@@ -126,103 +138,82 @@ def asymptotic_theta(t):
 EMBED_TIME_SIGN = -1.0
 
 
-def embed_explicit(p, family=HyperbolaFamily(), cfg=None):
-    """Global embedding (theta_emb - d/sqrt2, xi + d/sqrt2, x^1, ...) of a
-    chart point, theta_emb(t) = theta_of_t(-t); defined for every finite t."""
-    theta0 = theta_of_t(EMBED_TIME_SIGN * p.t, cfg)
-    tau = theta0 - family.offset
-    xi = hyperbola_xi(tau, family)
-    return MinkowskiEvent(tau, np.concatenate(([xi], p.spatial)))
-
-
 def embed_explicit_grid(ts, family=HyperbolaFamily(), cfg=None):
-    """(theta, xi) arrays of the translated curve over a t-grid; spatial
-    coordinates ride along unchanged."""
+    """(theta, xi) arrays of the translated curve over a t-grid:
+    (theta_emb - d/sqrt2, xi + d/sqrt2) with theta_emb(t) = theta_of_t(-t),
+    defined for every finite t."""
     thetas0 = theta_of_t_grid(EMBED_TIME_SIGN * np.asarray(ts, dtype=float), cfg)
-    if np.any(thetas0 >= THETA_POLE):
-        raise PoleError("grid reaches the branch pole")
     tau = thetas0 - family.offset
-    xi = SQRT2 * thetas0 / (SQRT2 - 2.0 * thetas0) + family.offset
-    return tau, xi
+    return tau, hyperbola_xi(tau, family)
 
 
-def explicit_jacobian_columns(t, family=HyperbolaFamily(), cfg=None):
-    """(d theta_emb/dt, d xi/dt) along the embedded curve.
-
-    From the arc-length matching, |d theta_emb/dt| = |t|^(1/2) / F(theta)
-    with F the arc integrand; the magnitude of the t = 0 limit is 1/2^(5/6).
-    """
-    t = float(t)
-    if t == 0.0:
-        dtheta = EMBED_TIME_SIGN * SEED_SLOPE
-        theta0 = 0.0
-    else:
-        theta0 = theta_of_t(EMBED_TIME_SIGN * t, cfg)
-        u = SQRT2 - 2.0 * theta0
-        integrand = np.sqrt(abs(4.0 / u**4 - 1.0))
-        dtheta = EMBED_TIME_SIGN * np.sqrt(abs(t)) / integrand
-    dxi = hyperbola_xi_prime(theta0 - family.offset, family) * dtheta
-    return dtheta, dxi
+def embed_explicit(p, family=HyperbolaFamily(), cfg=None):
+    """Global embedding of a chart point; the spatial coordinates ride
+    along unchanged."""
+    return explicit_embedding_map(p.n, family, cfg).value_eval(p)
 
 
 def explicit_embedding_map(n=2, family=HyperbolaFamily(), cfg=None):
-    """EmbeddingMap wrapper for the global construction (target dim n + 1)."""
+    """EmbeddingMap of the global construction (target dim n + 1)."""
     cfg = cfg or NumericConfig()
 
-    def value_eval(p):
-        return embed_explicit(p, family, cfg)
-
-    def jacobian_eval(p):
-        dtheta, dxi = explicit_jacobian_columns(p.t, family, cfg)
-        jac = np.zeros((n + 1, n))
-        jac[0, 0] = dtheta
-        jac[1, 0] = dxi
-        jac[2:, 1:] = np.eye(n - 1)
-        return jac
-
-    def event_time(e):
-        theta0 = e.tau + family.offset
-        if theta0 >= THETA_POLE:
-            return np.nan
-        return EMBED_TIME_SIGN * t_of_theta(theta0, cfg)
-
-    def on_image_residual(e):
-        theta0 = e.tau + family.offset
-        if theta0 >= THETA_POLE:
-            return np.nan
-        return float(e.y[0]) - hyperbola_xi(e.tau, family)
-
-    def value_batch(coords):
-        coords = np.asarray(coords, dtype=float)
-        tau, xi = embed_explicit_grid(coords[:, 0], family, cfg)
+    def value(coords):
         out = np.empty((coords.shape[0], n + 1))
-        out[:, 0] = tau
-        out[:, 1] = xi
+        out[:, 0], out[:, 1] = embed_explicit_grid(coords[:, 0], family, cfg)
         out[:, 2:] = coords[:, 1:]
         return out
+
+    def jacobian(coords):
+        # From the arc-length matching, |d theta_emb/dt| = |t|^(1/2) / F(theta)
+        # with F the arc integrand; the magnitude of the t = 0 limit is
+        # 1/2^(5/6).
+        ts = coords[:, 0]
+        theta0 = theta_of_t_grid(EMBED_TIME_SIGN * ts, cfg)
+        u = SQRT2 - 2.0 * theta0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.sqrt(np.abs(ts)) / np.sqrt(np.abs(4.0 / u**4 - 1.0))
+        dtheta = EMBED_TIME_SIGN * np.where(ts == 0.0, SEED_SLOPE, speed)
+        jac = np.zeros((coords.shape[0], n + 1, n))
+        jac[:, 0, 0] = dtheta
+        jac[:, 1, 0] = 2.0 / u**2 * dtheta  # d xi / d theta is translation invariant
+        jac[:, 2:, 1:] = np.eye(n - 1)
+        return jac
+
+    def event_time(events):
+        return EMBED_TIME_SIGN * t_of_theta_grid(events[:, 0] + family.offset, cfg)
+
+    def on_image_residual(events):
+        residual = np.full(events.shape[0], np.nan)
+        below = events[:, 0] + family.offset < THETA_POLE
+        residual[below] = events[below, 1] - hyperbola_xi(events[below, 0], family)
+        return residual
 
     return EmbeddingMap(
         source_dim=n,
         target_dim=n + 1,
-        value_eval=value_eval,
-        jacobian_eval=jacobian_eval,
-        domain_check=None,
+        value=value,
+        jacobian=jacobian,
         event_time=event_time,
         on_image_residual=on_image_residual,
-        value_batch=value_batch,
     )
 
 
-def ode_residual(t, family=HyperbolaFamily(), cfg=None):
-    """|-theta'(t)^2 + xi'(t)^2 + t| by central differences on the first two
-    embedded components; the defining first-order isometry identity."""
-    t = float(t)
+def ode_residual_grid(ts, family=HyperbolaFamily(), cfg=None):
+    """|-theta'(t)^2 + xi'(t)^2 + t| over an array of t, by central
+    differences on the first two embedded components; the defining
+    first-order isometry identity."""
     cfg = cfg or NumericConfig()
-    h = cfg.fd_step * max(1.0, abs(t))
-    if t != 0.0 and abs(t) < 2.0 * h:
-        h = 0.5 * abs(t)  # keep the stencil off the |t| kink at 0
-    thetas = theta_of_t_grid(EMBED_TIME_SIGN * np.array([t - h, t + h]), cfg)
+    ts = np.asarray(ts, dtype=float)
+    h = cfg.fd_step * np.maximum(1.0, np.abs(ts))
+    # keep the stencil off the |t| kink at 0
+    h = np.where((ts != 0.0) & (np.abs(ts) < 2.0 * h), 0.5 * np.abs(ts), h)
+    thetas = theta_of_t_grid(EMBED_TIME_SIGN * np.stack([ts - h, ts + h]), cfg)
+    xi = hyperbola_xi(thetas - family.offset, family)
     dtheta = (thetas[1] - thetas[0]) / (2.0 * h)
-    xi_vals = [hyperbola_xi(th - family.offset, family) for th in thetas]
-    dxi = (xi_vals[1] - xi_vals[0]) / (2.0 * h)
-    return float(abs(-(dtheta**2) + dxi**2 + t))
+    dxi = (xi[1] - xi[0]) / (2.0 * h)
+    return np.abs(-(dtheta**2) + dxi**2 + ts)
+
+
+def ode_residual(t, family=HyperbolaFamily(), cfg=None):
+    """ode_residual_grid at one t."""
+    return float(ode_residual_grid(np.array([float(t)]), family, cfg)[0])

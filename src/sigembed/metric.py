@@ -6,6 +6,10 @@ g = -t dt^2 + sum_i (dx^i)^2, degenerate exactly on the hypersurface t = 0.
 This module certifies pointwise structure: eigenvalue signature class, the
 degeneracy locus and its transverse radical, light-cone regularity of the
 quadratic form, and positive definiteness of the spatial slices.
+
+Every operation is batch-first: its ``*_grid`` form takes an (m, n) array
+of chart coordinates, t first, and the pointwise form on a ChartPoint is
+that grid form on a batch of one.
 """
 
 import enum
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, fd_steps
+from .config import NumericConfig, central_diff, fd_steps
 from .errors import EvaluationError, NumericalError, PreconditionError
 
 
@@ -42,6 +46,10 @@ class ChartPoint:
         """All coordinates as one array, t first."""
         return np.concatenate(([self.t], self.spatial))
 
+    def batch(self):
+        """The coordinates as a batch of one, shape (1, n)."""
+        return self.coords()[None, :]
+
     @classmethod
     def from_coords(cls, coords):
         coords = np.asarray(coords, dtype=float)
@@ -65,22 +73,19 @@ class SignatureReport:
 
 @dataclass(frozen=True)
 class MetricModel:
-    """Pointwise evaluators for a metric in radical-adapted coordinates.
+    """Array evaluators for a metric in radical-adapted coordinates.
 
-    ``component_eval`` maps a ChartPoint to the full symmetric n x n matrix;
-    ``spatial_block_eval`` to the (n-1) x (n-1) spatial block.
-    ``derivative_eval``, when supplied, returns the coordinate derivatives
-    as an (n, n, n) array indexed [kappa, mu, nu]; otherwise central finite
-    differences are used wherever derivatives are needed.
-    ``component_batch``, when supplied, evaluates a (m, n) coordinate array
-    to (m, n, n) matrices for grid sweeps.  All evaluators must be pure.
+    ``components`` maps an (m, n) coordinate array to the (m, n, n)
+    symmetric metric matrices; their spatial block is ``[:, 1:, 1:]``.
+    ``derivatives``, when supplied, returns the coordinate derivatives as
+    an (m, n, n, n) array indexed [point, kappa, mu, nu]; otherwise central
+    finite differences are used wherever derivatives are needed.  Both
+    evaluators must be pure.
     """
 
     dimension: int
-    component_eval: object
-    spatial_block_eval: object
-    derivative_eval: object = None
-    component_batch: object = None
+    components: object
+    derivatives: object = None
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -89,254 +94,222 @@ class MetricModel:
 
 def toy_model(n=2):
     """Canonical model g = -t dt^2 + sum (dx^i)^2 on R^n, with analytic
-    derivatives and batch evaluation."""
+    derivatives."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
 
-    def component_eval(p):
-        g = np.eye(n)
-        g[0, 0] = -p.t
-        return g
-
-    def spatial_block_eval(p):
-        return np.eye(n - 1)
-
-    def derivative_eval(p):
-        dg = np.zeros((n, n, n))
-        dg[0, 0, 0] = -1.0  # d g_tt / dt
-        return dg
-
-    def component_batch(coords):
-        coords = np.asarray(coords, dtype=float)
-        m = coords.shape[0]
-        g = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    def components(coords):
+        g = np.broadcast_to(np.eye(n), (coords.shape[0], n, n)).copy()
         g[:, 0, 0] = -coords[:, 0]
         return g
 
-    return MetricModel(
-        dimension=n,
-        component_eval=component_eval,
-        spatial_block_eval=spatial_block_eval,
-        derivative_eval=derivative_eval,
-        component_batch=component_batch,
-    )
+    def derivatives(coords):
+        dg = np.zeros((coords.shape[0], n, n, n))
+        dg[:, 0, 0, 0] = -1.0  # d g_tt / dt
+        return dg
+
+    return MetricModel(dimension=n, components=components, derivatives=derivatives)
+
+
+def eval_metric_grid(model, coords):
+    """Metric components over an (m, n) coordinate array, validated to be
+    finite and symmetric."""
+    coords = np.asarray(coords, dtype=float)
+    n = model.dimension
+    if coords.ndim != 2 or coords.shape[1] != n:
+        raise PreconditionError(
+            f"point dimension {coords.shape[-1]} does not match model dimension {n}"
+        )
+    g = np.asarray(model.components(coords), dtype=float)
+    if g.shape != (coords.shape[0], n, n):
+        raise EvaluationError(
+            f"component evaluator returned shape {g.shape}, "
+            f"expected {(coords.shape[0], n, n)}"
+        )
+    finite = np.isfinite(g)
+    if not finite.all():
+        k, i, j = (int(v) for v in np.argwhere(~finite)[0])
+        raise EvaluationError(
+            f"non-finite metric component at index {(i, j)} at point {coords[k]}",
+            index=(i, j),
+        )
+    # pairwise, so that a large grid needs no transposed copy of g
+    scale = np.maximum(1.0, np.maximum(g.max(axis=(1, 2)), -g.min(axis=(1, 2))))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if (np.abs(g[:, i, j] - g[:, j, i]) > 1e-12 * scale).any():
+            raise EvaluationError("component evaluator returned an asymmetric matrix")
+    return g
 
 
 def eval_metric(model, p):
     """Metric components at p, validated to be finite and symmetric."""
-    if p.n != model.dimension:
-        raise PreconditionError(
-            f"point dimension {p.n} does not match model dimension {model.dimension}"
-        )
-    g = np.asarray(model.component_eval(p), dtype=float)
-    if g.shape != (model.dimension, model.dimension):
-        raise EvaluationError(
-            f"component evaluator returned shape {g.shape}, "
-            f"expected {(model.dimension, model.dimension)}"
-        )
-    bad = ~np.isfinite(g)
-    if bad.any():
-        idx = tuple(int(k) for k in np.argwhere(bad)[0])
-        raise EvaluationError(f"non-finite metric component at index {idx}", index=idx)
-    scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > 1e-12 * scale:
-        raise EvaluationError("component evaluator returned an asymmetric matrix")
-    return 0.5 * (g + g.T)
+    return eval_metric_grid(model, p.batch())[0]
 
 
-def classify_signature(model, p, tol=1e-10):
-    """Eigenvalue signature of the metric at p.
-
-    Eigenvalues within ``tol`` (relative to the largest magnitude) of zero
-    count as zero.  Degeneracy is a legitimate classification, not an error.
-    """
+def _signature_grid(model, coords, tol):
     if tol <= 0:
         raise PreconditionError(f"tol must be positive, got {tol}")
-    g = eval_metric(model, p)
+    coords = np.asarray(coords, dtype=float)
+    g = eval_metric_grid(model, coords)
     try:
         eig = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigen-solver failed at {p}: {exc}") from exc
-    return _report_from_eigenvalues(eig, tol)
-
-
-def _report_from_eigenvalues(eig, tol):
-    band = tol * max(np.abs(eig).max(), 0.0)
-    zero = np.abs(eig) <= band
-    neg = int(np.sum(eig < -band))
-    pos = int(np.sum(eig > band))
-    nzero = int(np.sum(zero))
-    if nzero >= 1:
-        cls = SignatureClass.DEGENERATE
-    elif neg == 0:
-        cls = SignatureClass.RIEMANNIAN
-    elif neg == 1:
-        cls = SignatureClass.LORENTZIAN
-    else:
-        raise PreconditionError(
-            f"metric has {neg} negative eigenvalues; only Riemannian-to-Lorentzian "
-            "transverse type change is supported"
-        )
-    return SignatureReport(
-        signature_class=cls,
-        negative_count=neg,
-        zero_count=nzero,
-        positive_count=pos,
-        min_abs_eigenvalue=float(np.abs(eig).min()),
-    )
-
-
-def classify_signature_grid(model, coords, tol=1e-10):
-    """Signature classes over a (m, n) coordinate array.
-
-    Returns (classes, negative, zero, positive) arrays; classes hold
-    SignatureClass members.  Uses the batch evaluator when available.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if model.component_batch is not None:
-        g = model.component_batch(coords)
-    else:
-        g = np.stack([
-            eval_metric(model, ChartPoint.from_coords(c)) for c in coords
-        ])
-    eig = np.linalg.eigvalsh(g)
+        raise NumericalError(f"eigen-solver failed: {exc}") from exc
     band = tol * np.abs(eig).max(axis=1, keepdims=True)
     neg = (eig < -band).sum(axis=1)
     pos = (eig > band).sum(axis=1)
     zero = (np.abs(eig) <= band).sum(axis=1)
-    classes = np.empty(coords.shape[0], dtype=object)
+    two_times = (zero == 0) & (neg >= 2)
+    if two_times.any():
+        k = int(np.argmax(two_times))
+        raise PreconditionError(
+            f"metric has {neg[k]} negative eigenvalues at {coords[k]}; "
+            "only Riemannian-to-Lorentzian transverse type change is supported"
+        )
+    classes = np.empty(g.shape[0], dtype=object)
     classes[zero >= 1] = SignatureClass.DEGENERATE
     classes[(zero == 0) & (neg == 0)] = SignatureClass.RIEMANNIAN
     classes[(zero == 0) & (neg == 1)] = SignatureClass.LORENTZIAN
-    if ((zero == 0) & (neg >= 2)).any():
-        raise PreconditionError(
-            "metric has >= 2 negative eigenvalues somewhere on the grid"
-        )
-    return classes, neg, zero, pos
+    return classes, neg, zero, pos, eig
+
+
+def classify_signature_grid(model, coords, tol=1e-10):
+    """Eigenvalue signature classes over an (m, n) coordinate array.
+
+    Eigenvalues within ``tol`` (relative to the largest magnitude at the
+    point) of zero count as zero; degeneracy is a legitimate class, not an
+    error.  Returns (classes, negative, zero, positive) arrays; classes
+    hold SignatureClass members.
+    """
+    return _signature_grid(model, coords, tol)[:4]
+
+
+def classify_signature(model, p, tol=1e-10):
+    """Eigenvalue signature of the metric at p (see classify_signature_grid)."""
+    classes, neg, zero, pos, eig = _signature_grid(model, p.batch(), tol)
+    return SignatureReport(
+        signature_class=classes[0],
+        negative_count=int(neg[0]),
+        zero_count=int(zero[0]),
+        positive_count=int(pos[0]),
+        min_abs_eigenvalue=float(np.abs(eig[0]).min()),
+    )
 
 
 def _adjugate(a):
-    # Cofactor transpose; stays finite where the matrix is singular.
-    n = a.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    adj = np.empty((n, n))
+    # Cofactor transpose of each matrix; stays finite where it is singular.
+    n = a.shape[-1]
+    adj = np.empty_like(a)
     for i in range(n):
         for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+            minor = np.delete(np.delete(a, i, axis=1), j, axis=2)
+            adj[:, j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
     return adj
 
 
-def metric_derivatives(model, p, cfg=None):
-    """d g_{mu nu} / d x^kappa as an (n, n, n) array indexed [kappa, mu, nu].
+def metric_derivatives_grid(model, coords, cfg=None):
+    """d g_{mu nu} / d x^kappa over an (m, n) coordinate array, as
+    (m, n, n, n) indexed [point, kappa, mu, nu].
 
     Analytic when the model supplies derivatives, otherwise central
     differences with per-coordinate steps.
     """
-    if model.derivative_eval is not None:
-        dg = np.asarray(model.derivative_eval(p), dtype=float)
-        n = model.dimension
-        if dg.shape != (n, n, n):
+    coords = np.asarray(coords, dtype=float)
+    n = model.dimension
+    if model.derivatives is not None:
+        dg = np.asarray(model.derivatives(coords), dtype=float)
+        if dg.shape != (coords.shape[0], n, n, n):
             raise EvaluationError(
-                f"derivative evaluator returned shape {dg.shape}, expected {(n, n, n)}"
+                f"derivative evaluator returned shape {dg.shape}, "
+                f"expected {(coords.shape[0], n, n, n)}"
             )
         return dg
     cfg = cfg or NumericConfig()
-    coords = p.coords()
-    steps = fd_steps(coords, cfg.fd_step)
-    n = model.dimension
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        up = coords.copy()
-        dn = coords.copy()
-        up[k] += steps[k]
-        dn[k] -= steps[k]
-        g_up = eval_metric(model, ChartPoint.from_coords(up))
-        g_dn = eval_metric(model, ChartPoint.from_coords(dn))
-        dg[k] = (g_up - g_dn) / (2.0 * steps[k])
-    return dg
+    dg = central_diff(lambda c: eval_metric_grid(model, c), coords,
+                      fd_steps(coords, cfg.fd_step))
+    return np.moveaxis(dg, -1, 1)
 
 
-def radical_transversality(model, p, tol=1e-10, cfg=None):
-    """(det, grad_det, is_transverse) of the metric determinant at p.
+def metric_derivatives(model, p, cfg=None):
+    """d g_{mu nu} / d x^kappa at p as an (n, n, n) array indexed
+    [kappa, mu, nu]."""
+    return metric_derivatives_grid(model, p.batch(), cfg)[0]
+
+
+def radical_transversality_grid(model, coords, tol=1e-10, cfg=None):
+    """(det, grad_det, is_transverse) of the metric determinant over an
+    (m, n) coordinate array.
 
     ``is_transverse`` is vacuously true off the degeneracy locus; on it
     (|det| <= tol) the determinant gradient must not vanish.
     """
-    g = eval_metric(model, p)
-    det = float(np.linalg.det(g))
-    if model.derivative_eval is not None:
+    coords = np.asarray(coords, dtype=float)
+    g = eval_metric_grid(model, coords)
+    det = np.linalg.det(g)
+    if model.derivatives is not None:
         # Jacobi's formula d(det)/dx^k = tr(adj(g) dg_k); adjugate stays
         # finite on the degenerate locus where det * inv(g) would not.
-        dg = metric_derivatives(model, p, cfg)
-        adj = _adjugate(g)
-        grad = np.array([float(np.trace(adj @ dg[k])) for k in range(model.dimension)])
+        dg = metric_derivatives_grid(model, coords, cfg)
+        grad = np.einsum("mij,mkji->mk", _adjugate(g), dg)
     else:
         cfg = cfg or NumericConfig()
-        coords = p.coords()
-        steps = fd_steps(coords, cfg.fd_step)
-        grad = np.empty(model.dimension)
-        for k in range(model.dimension):
-            up = coords.copy()
-            dn = coords.copy()
-            up[k] += steps[k]
-            dn[k] -= steps[k]
-            det_up = np.linalg.det(eval_metric(model, ChartPoint.from_coords(up)))
-            det_dn = np.linalg.det(eval_metric(model, ChartPoint.from_coords(dn)))
-            grad[k] = (det_up - det_dn) / (2.0 * steps[k])
-    on_locus = abs(det) <= tol
-    is_transverse = (not on_locus) or float(np.linalg.norm(grad)) > tol
+        grad = central_diff(lambda c: np.linalg.det(eval_metric_grid(model, c)),
+                            coords, fd_steps(coords, cfg.fd_step))
+    is_transverse = (np.abs(det) > tol) | (np.linalg.norm(grad, axis=1) > tol)
     return det, grad, is_transverse
 
 
-def quadratic_form(model, p, v):
-    """G(p, v) = v^T g(p) v."""
-    v = np.asarray(v, dtype=float)
-    g = eval_metric(model, p)
-    return float(v @ g @ v)
+def radical_transversality(model, p, tol=1e-10, cfg=None):
+    """(det, grad_det, is_transverse) of the metric determinant at p."""
+    det, grad, is_transverse = radical_transversality_grid(model, p.batch(), tol, cfg)
+    return float(det[0]), grad[0], bool(is_transverse[0])
+
+
+def lc_regularity_grid(model, coords, directions, tol=1e-9, cfg=None):
+    """Flags over (m, n) points and (m, n) null directions v: True where
+    the full differential of the quadratic form G(p, v) = v^T g v is
+    nonzero.
+
+    The differential has a fiber part 2 g(p) v and a base part
+    (d_kappa g_{mu nu}) v^mu v^nu; the caller must supply nonzero v with
+    |G(p, v)| <= tol.
+    """
+    coords = np.asarray(coords, dtype=float)
+    v = np.asarray(directions, dtype=float)
+    if v.shape != (coords.shape[0], model.dimension):
+        raise PreconditionError(
+            f"directions have shape {v.shape}, expected "
+            f"{(coords.shape[0], model.dimension)}"
+        )
+    if not np.any(v != 0.0, axis=1).all():
+        raise PreconditionError("direction v must be nonzero")
+    g = eval_metric_grid(model, coords)
+    gv = np.einsum("mij,mj->mi", g, v)
+    value = np.abs(np.einsum("mi,mi->m", v, gv))
+    if (value > tol).any():
+        raise PreconditionError(
+            f"v is not null within tolerance: |G(p, v)| = {value.max():.3e} > {tol:.3e}"
+        )
+    dg = metric_derivatives_grid(model, coords, cfg)
+    base = np.einsum("mkij,mi,mj->mk", dg, v, v)
+    differential = np.concatenate([base, 2.0 * gv], axis=1)
+    return np.linalg.norm(differential, axis=1) > tol
 
 
 def lc_regularity_at(model, p, v, tol=1e-9, cfg=None):
-    """True iff the full differential of the quadratic form G(p, v) = v^T g v
-    is nonzero at a null direction v.
+    """lc_regularity_grid at one point and direction."""
+    v = np.asarray(v, dtype=float)[None, :]
+    return bool(lc_regularity_grid(model, p.batch(), v, tol, cfg)[0])
 
-    The differential has a fiber part 2 g(p) v and a base part
-    (d_kappa g_{mu nu}) v^mu v^nu; the caller must supply v with
-    |G(p, v)| <= tol.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.dimension,):
-        raise PreconditionError(
-            f"direction has shape {v.shape}, expected ({model.dimension},)"
-        )
-    if not np.any(v != 0.0):
-        raise PreconditionError("direction v must be nonzero")
-    g = eval_metric(model, p)
-    value = float(v @ g @ v)
-    if abs(value) > tol:
-        raise PreconditionError(
-            f"v is not null within tolerance: |G(p, v)| = {abs(value):.3e} > {tol:.3e}"
-        )
-    fiber = 2.0 * g @ v
-    dg = metric_derivatives(model, p, cfg)
-    base = np.einsum("kij,i,j->k", dg, v, v)
-    differential = np.concatenate([base, fiber])
-    return float(np.linalg.norm(differential)) > tol
+
+def slice_metric_grid(model, coords):
+    """Spatial blocks over an (m, n) coordinate array and their
+    positive-definite flags."""
+    block = eval_metric_grid(model, coords)[:, 1:, 1:]
+    return block, np.linalg.eigvalsh(block)[:, 0] > 0.0
 
 
 def slice_metric(model, t, spatial):
-    """Spatial block at (t, x) and a Cholesky-based positive-definite flag."""
-    p = ChartPoint(t, spatial)
-    block = np.asarray(model.spatial_block_eval(p), dtype=float)
-    m = model.dimension - 1
-    if block.shape != (m, m):
-        raise EvaluationError(
-            f"spatial block evaluator returned shape {block.shape}, expected {(m, m)}"
-        )
-    try:
-        np.linalg.cholesky(block)
-        positive_definite = True
-    except np.linalg.LinAlgError:
-        positive_definite = False
-    return block, positive_definite
+    """Spatial block at (t, x) and its positive-definite flag."""
+    block, positive_definite = slice_metric_grid(model, ChartPoint(t, spatial).batch())
+    return block[0], bool(positive_definite[0])

@@ -4,15 +4,19 @@ The workhorse map sends (t, x) to (f(t), t, x) with temporal function
 f(t) = -(2/3)(1 + t)^(3/2), defined for t > -1.  Isometry is certified by
 pulling the flat metric eta = diag(-1, +1, ..., +1) back through the
 embedding Jacobian and comparing against the source metric.
+
+Maps evaluate (m, n) coordinate arrays, and each operation has one
+implementation on such a grid; its pointwise form on a ChartPoint is that
+grid form on a batch of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, fd_steps
+from .config import NumericConfig, central_diff, fd_steps
 from .errors import DomainError, ImmersionError, PreconditionError
-from .metric import ChartPoint, eval_metric
+from .metric import eval_metric_grid
 
 # Rank cutoff for the immersion check, relative to the largest singular value.
 _RANK_RTOL = 1e-10
@@ -39,6 +43,10 @@ class MinkowskiEvent:
     def coords(self):
         return np.concatenate(([self.tau], self.y))
 
+    def batch(self):
+        """The coordinates as a batch of one, shape (1, N)."""
+        return self.coords()[None, :]
+
     @classmethod
     def from_coords(cls, coords):
         coords = np.asarray(coords, dtype=float)
@@ -53,27 +61,24 @@ def minkowski_eta(dim):
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """A map from chart points into Minkowski space.
+    """A map from chart coordinates into Minkowski space, on arrays.
 
-    ``jacobian_eval`` is the analytic Jacobian (N x n) when available;
-    finite differences of ``value_eval`` otherwise.  ``domain_check``
-    guards evaluation.  The optional ``event_time`` / ``on_image_residual``
-    pair enables orbit-intersection machinery: the first recovers the
-    source time coordinate of the natural preimage of an ambient event,
-    the second vanishes exactly on the image (both may return nan where
-    undefined).  Optional ``value_batch`` / ``jacobian_batch`` evaluate
-    (m, n) coordinate arrays for grid sweeps.
+    ``value`` maps (m, n) coordinates to (m, N) event coordinates and
+    raises DomainError outside the embedding domain.  ``jacobian`` maps
+    (m, n) coordinates to the analytic (m, N, n) Jacobians when available;
+    finite differences of ``value`` are used otherwise.  The optional
+    ``event_time`` / ``on_image_residual`` pair enables orbit-intersection
+    machinery: both map (m, N) events to (m,) values, nan where undefined;
+    the first recovers the source time coordinate of the natural preimage
+    of an ambient event, the second vanishes exactly on the image.
     """
 
     source_dim: int
     target_dim: int
-    value_eval: object
-    jacobian_eval: object = None
-    domain_check: object = None
+    value: object
+    jacobian: object = None
     event_time: object = None
     on_image_residual: object = None
-    value_batch: object = None
-    jacobian_batch: object = None
 
     def __post_init__(self):
         if self.source_dim < 2:
@@ -84,185 +89,136 @@ class EmbeddingMap:
                 f"{self.source_dim}: not an embedding"
             )
 
-    def in_domain(self, p):
-        return True if self.domain_check is None else bool(self.domain_check(p))
+    def value_eval(self, p):
+        """Image of one chart point, as a MinkowskiEvent."""
+        return MinkowskiEvent.from_coords(self.value(p.batch())[0])
+
+
+def _psi_time(t):
+    t = np.asarray(t, dtype=float)
+    outside = ~(t > -1.0)
+    if outside.any():
+        raise DomainError(f"temporal function requires t > -1, got t = {t[outside][0]}")
+    return t
 
 
 def temporal_f(t):
-    """Temporal component f(t) = -(2/3)(1 + t)^(3/2); strictly decreasing."""
-    t = float(t)
-    if not t > -1.0:
-        raise DomainError(f"temporal function requires t > -1, got t = {t}")
-    return -(2.0 / 3.0) * (1.0 + t) ** 1.5
-
-
-def temporal_f_prime(t):
-    t = float(t)
-    if not t > -1.0:
-        raise DomainError(f"temporal function requires t > -1, got t = {t}")
-    return -np.sqrt(1.0 + t)
+    """Temporal component f(t) = -(2/3)(1 + t)^(3/2), for scalar or array
+    t > -1; strictly decreasing."""
+    return -(2.0 / 3.0) * (1.0 + _psi_time(t)) ** 1.5
 
 
 def psi_toy(p):
     """(f(t), t, x^1, ..., x^{n-1}): the canonical-model embedding, target
     dimension n + 1."""
-    return MinkowskiEvent(temporal_f(p.t), np.concatenate(([p.t], p.spatial)))
+    return psi_toy_map(p.n).value_eval(p)
 
 
 def psi_toy_map(n=2):
-    """EmbeddingMap wrapper around ``psi_toy`` for an n-dimensional source."""
+    """EmbeddingMap of ``psi_toy`` for an n-dimensional source."""
 
-    def value_eval(p):
-        return psi_toy(p)
-
-    def jacobian_eval(p):
-        jac = np.zeros((n + 1, n))
-        jac[0, 0] = temporal_f_prime(p.t)
-        jac[1, 0] = 1.0
-        jac[2:, 1:] = np.eye(n - 1)
-        return jac
-
-    def domain_check(p):
-        return p.t > -1.0
-
-    def event_time(e):
-        # The y^1 component carries the source time directly.
-        return float(e.y[0])
-
-    def on_image_residual(e):
-        y1 = float(e.y[0])
-        if y1 <= -1.0:
-            return np.nan
-        return e.tau - (-(2.0 / 3.0) * (1.0 + y1) ** 1.5)
-
-    def value_batch(coords):
-        coords = np.asarray(coords, dtype=float)
-        if np.any(coords[:, 0] <= -1.0):
-            raise DomainError("temporal function requires t > -1 on the whole batch")
+    def value(coords):
         out = np.empty((coords.shape[0], n + 1))
-        out[:, 0] = -(2.0 / 3.0) * (1.0 + coords[:, 0]) ** 1.5
+        out[:, 0] = temporal_f(coords[:, 0])
         out[:, 1:] = coords
         return out
 
-    def jacobian_batch(coords):
-        coords = np.asarray(coords, dtype=float)
-        m = coords.shape[0]
-        jac = np.zeros((m, n + 1, n))
-        jac[:, 0, 0] = -np.sqrt(1.0 + coords[:, 0])
+    def jacobian(coords):
+        jac = np.zeros((coords.shape[0], n + 1, n))
+        jac[:, 0, 0] = -np.sqrt(1.0 + _psi_time(coords[:, 0]))
         jac[:, 1, 0] = 1.0
         jac[:, 2:, 1:] = np.eye(n - 1)
         return jac
 
+    def event_time(events):
+        # The y^1 component carries the source time directly.
+        return events[:, 1].copy()
+
+    def on_image_residual(events):
+        y1 = events[:, 1]
+        residual = np.full(y1.shape, np.nan)
+        inside = y1 > -1.0
+        residual[inside] = events[inside, 0] - temporal_f(y1[inside])
+        return residual
+
     return EmbeddingMap(
         source_dim=n,
         target_dim=n + 1,
-        value_eval=value_eval,
-        jacobian_eval=jacobian_eval,
-        domain_check=domain_check,
+        value=value,
+        jacobian=jacobian,
         event_time=event_time,
         on_image_residual=on_image_residual,
-        value_batch=value_batch,
-        jacobian_batch=jacobian_batch,
     )
 
 
-def fd_jacobian(map_, p, cfg=None):
-    """Central-difference Jacobian of ``map_.value_eval`` at p."""
-    cfg = cfg or NumericConfig()
-    coords = p.coords()
-    steps = fd_steps(coords, cfg.fd_step)
-    jac = np.empty((map_.target_dim, map_.source_dim))
-    for k in range(map_.source_dim):
-        up = coords.copy()
-        dn = coords.copy()
-        up[k] += steps[k]
-        dn[k] -= steps[k]
-        e_up = map_.value_eval(ChartPoint.from_coords(up))
-        e_dn = map_.value_eval(ChartPoint.from_coords(dn))
-        jac[:, k] = (e_up.coords() - e_dn.coords()) / (2.0 * steps[k])
-    return jac
-
-
-def map_jacobian(map_, p, mode="analytic", cfg=None):
-    """Jacobian in the requested mode ('analytic' or 'finite_difference')."""
+def jacobian_grid(map_, coords, mode="analytic", cfg=None):
+    """(m, N, n) Jacobians over an (m, n) coordinate array in the requested
+    mode ('analytic' or 'finite_difference')."""
+    coords = np.asarray(coords, dtype=float)
     if mode == "analytic":
-        if map_.jacobian_eval is None:
+        if map_.jacobian is None:
             raise PreconditionError(
                 "map carries no analytic Jacobian; use mode='finite_difference'"
             )
-        return np.asarray(map_.jacobian_eval(p), dtype=float)
+        return np.asarray(map_.jacobian(coords), dtype=float)
     if mode == "finite_difference":
-        return fd_jacobian(map_, p, cfg)
+        cfg = cfg or NumericConfig()
+        return central_diff(map_.value, coords, fd_steps(coords, cfg.fd_step))
     raise ValueError(f"unknown Jacobian mode {mode!r}")
 
 
-def pullback(map_, model, p, mode="analytic", cfg=None):
-    """Pullback J^T eta J of the flat metric through the embedding at p.
+def map_jacobian(map_, p, mode="analytic", cfg=None):
+    """Jacobian (N x n) at p in the requested mode."""
+    return jacobian_grid(map_, p.batch(), mode, cfg)[0]
 
-    Raises ImmersionError (carrying the observed rank) when the Jacobian
-    is column-rank deficient.
+
+def fd_jacobian(map_, p, cfg=None):
+    """Central-difference Jacobian of the map's value at p."""
+    return map_jacobian(map_, p, "finite_difference", cfg)
+
+
+def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
+    """Pullbacks J^T eta J of the flat metric over an (m, n) coordinate
+    array, as (m, n, n).
+
+    ``model`` (or None) must match the map's source dimension.  Raises
+    DomainError outside the embedding domain and ImmersionError (carrying
+    the observed rank) at the first point whose Jacobian is column-rank
+    deficient.
     """
     if model is not None and model.dimension != map_.source_dim:
         raise PreconditionError(
             f"model dimension {model.dimension} does not match map source "
             f"dimension {map_.source_dim}"
         )
-    if not map_.in_domain(p):
-        raise DomainError(f"point {p} outside the embedding domain")
-    jac = map_jacobian(map_, p, mode, cfg)
+    coords = np.asarray(coords, dtype=float)
+    jac = jacobian_grid(map_, coords, mode, cfg)
     sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_RTOL * sv[0]))
-    if rank < map_.source_dim:
+    rank = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
+    deficient = rank < map_.source_dim
+    if deficient.any():
+        k = int(np.argmax(deficient))
         raise ImmersionError(
-            f"embedding Jacobian has rank {rank} < {map_.source_dim} at {p}",
-            rank=rank,
+            f"embedding Jacobian has rank {rank[k]} < {map_.source_dim} at {coords[k]}",
+            rank=int(rank[k]),
         )
-    eta = minkowski_eta(map_.target_dim)
-    back = jac.T @ eta @ jac
-    return 0.5 * (back + back.T)
+    eta_diag = np.diagonal(minkowski_eta(map_.target_dim))
+    return np.einsum("mia,i,mib->mab", jac, eta_diag, jac)
 
 
-def isometry_residual(map_, model, p, mode="analytic", cfg=None):
-    """Max-norm mismatch between the pulled-back flat metric and the model
-    metric at p; zero exactly when the embedding is isometric there."""
-    back = pullback(map_, model, p, mode, cfg)
-    g = eval_metric(model, p)
-    return float(np.abs(back - g).max())
+def pullback(map_, model, p, mode="analytic", cfg=None):
+    """Pullback of the flat metric through the embedding at p."""
+    return pullback_grid(map_, model, p.batch(), mode, cfg)[0]
 
 
 def isometry_residual_grid(map_, model, coords, mode="analytic", cfg=None):
-    """Max isometry residual over an (m, n) coordinate grid.
+    """Max-norm mismatch between the pulled-back flat metric and the model
+    metric over an (m, n) coordinate grid; zero exactly when the embedding
+    is isometric there."""
+    back = pullback_grid(map_, model, coords, mode, cfg)
+    return float(np.abs(back - eval_metric_grid(model, coords)).max())
 
-    Uses the map's batch evaluators when present (vectorised sweep),
-    falling back to the pointwise operation otherwise.
-    """
-    coords = np.asarray(coords, dtype=float)
-    batched = (map_.value_batch is not None and model.component_batch is not None
-               and (mode != "analytic" or map_.jacobian_batch is not None))
-    if not batched:
-        return max(
-            isometry_residual(map_, model, ChartPoint.from_coords(c), mode, cfg)
-            for c in coords
-        )
-    if mode == "analytic":
-        jac = map_.jacobian_batch(coords)
-    elif mode == "finite_difference":
-        cfg = cfg or NumericConfig()
-        m, n = coords.shape
-        jac = np.empty((m, map_.target_dim, n))
-        steps = cfg.fd_step * np.maximum(1.0, np.abs(coords))
-        for k in range(n):
-            up = coords.copy()
-            dn = coords.copy()
-            up[:, k] += steps[:, k]
-            dn[:, k] -= steps[:, k]
-            jac[:, :, k] = (map_.value_batch(up) - map_.value_batch(dn)) / (
-                2.0 * steps[:, k][:, None]
-            )
-    else:
-        raise ValueError(f"unknown Jacobian mode {mode!r}")
-    eta_diag = np.ones(map_.target_dim)
-    eta_diag[0] = -1.0
-    back = np.einsum("mia,i,mib->mab", jac, eta_diag, jac)
-    g = model.component_batch(coords)
-    return float(np.abs(back - g).max())
+
+def isometry_residual(map_, model, p, mode="analytic", cfg=None):
+    """isometry_residual_grid at one point."""
+    return isometry_residual_grid(map_, model, p.batch(), mode, cfg)

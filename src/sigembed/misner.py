@@ -10,6 +10,9 @@ and the quotient metric is g = -2 dT dphi - T dphi^2 + sum (dy^i)^2.
 Boosting by rapidity s scales u = y1 - tau by e^(-s), hence shifts the
 unwrapped phi by +2 s; the generator therefore shifts phi by one full
 period +2 pi, which is exactly the identification the quotient makes.
+
+The quotient map and its checks run on (m, N) event arrays; the pointwise
+forms on a MinkowskiEvent are those on a batch of one.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, fd_steps
+from .config import NumericConfig, central_diff, fd_steps
 from .errors import PreconditionError, RegionError
 from .minkowski import MinkowskiEvent, minkowski_eta, psi_toy_map
 from .explicit import HyperbolaFamily, explicit_embedding_map
@@ -92,9 +95,52 @@ def boost(e, spec=BoostSpec()):
     return MinkowskiEvent(tau, y)
 
 
+def require_region(tau, y1):
+    """u = y1 - tau for scalar or array (tau, y1) inside the
+    quotient-admissible half-space u > 0; RegionError (carrying the pair
+    and its flat index) at the first pair outside it."""
+    tau, y1 = np.broadcast_arrays(np.asarray(tau, dtype=float),
+                                  np.asarray(y1, dtype=float))
+    u = y1 - tau
+    outside = ~(u > 0.0)
+    if outside.any():
+        k = int(np.argmax(outside.ravel()))
+        bad_tau, bad_y1 = float(tau.ravel()[k]), float(y1.ravel()[k])
+        raise RegionError(
+            f"event outside the half-space y1 - tau > 0: "
+            f"tau = {bad_tau}, y1 = {bad_y1}",
+            tau=bad_tau, y1=bad_y1, index=k,
+        )
+    return u
+
+
 def in_region_R(e):
     """True iff the event lies in the quotient-admissible half-space."""
-    return float(e.y[0]) - e.tau > 0.0
+    try:
+        require_region(e.tau, e.y[0])
+    except RegionError:
+        return False
+    return True
+
+
+def quotient_map_coords(events):
+    """(T, phi_raw, spectators) of (..., N) event coordinates
+    (tau, y1, spectators); the chart form of the quotient map."""
+    events = np.asarray(events, dtype=float)
+    tau = events[..., 0]
+    y1 = events[..., 1]
+    u = require_region(tau, y1)
+    out = np.empty_like(events)
+    out[..., 0] = (y1 * y1 - tau * tau) / 4.0
+    out[..., 1] = PHI_SIGN * np.log(u / 2.0)
+    out[..., 2:] = events[..., 2:]
+    return out
+
+
+def canonical_phi(phi_raw):
+    """phi_raw reduced to the half-open range [0, 2 pi)."""
+    phi = np.mod(phi_raw, TWO_PI)
+    return np.where(phi >= TWO_PI, phi - TWO_PI, phi)  # guard against rounding
 
 
 def to_misner(e):
@@ -103,91 +149,73 @@ def to_misner(e):
     Returns a MisnerEvent carrying both the canonical phi and the
     unwrapped phi_raw of the given representative.
     """
-    u = float(e.y[0]) - e.tau
-    if not u > 0.0:
-        raise RegionError(
-            f"event outside the half-space y1 - tau > 0: tau = {e.tau}, y1 = {e.y[0]}",
-            tau=e.tau, y1=float(e.y[0]),
-        )
-    T = (float(e.y[0]) ** 2 - e.tau**2) / 4.0
-    phi_raw = PHI_SIGN * math.log(u / 2.0)
-    phi = phi_raw % TWO_PI
-    if phi >= TWO_PI:  # guard the half-open range against rounding
-        phi -= TWO_PI
-    return MisnerEvent(T=T, phi=phi, spectators=e.y[1:].copy(), phi_raw=phi_raw)
+    q = quotient_map_coords(e.coords())
+    return MisnerEvent(T=q[0], phi=canonical_phi(q[1]), spectators=q[2:],
+                       phi_raw=q[1])
+
+
+def representative_coords(quotient):
+    """Event coordinates (tau, y1, spectators) of (..., N) quotient chart
+    coordinates (T, phi_raw, spectators): the representative on the sheet
+    that phi_raw names, with u = y1 - tau > 0 by construction for every T.
+    Inverse of quotient_map_coords."""
+    quotient = np.asarray(quotient, dtype=float)
+    u = 2.0 * np.exp(quotient[..., 1] / PHI_SIGN)
+    v = 4.0 * quotient[..., 0] / u
+    events = quotient.copy()
+    events[..., 0] = 0.5 * (v - u)
+    events[..., 1] = 0.5 * (v + u)
+    return events
 
 
 def from_misner(m, branch=0):
     """Representative Minkowski event of a quotient point on a chosen sheet.
 
     The covering is infinite-sheeted, so the branch index is explicit:
-    the representative satisfies phi_raw = phi + 2 pi branch, and
-    u = y1 - tau > 0 by construction for every T.
+    the representative satisfies phi_raw = phi + 2 pi branch.
     """
-    phi_raw = m.phi + TWO_PI * branch
-    u = 2.0 * math.exp(phi_raw / PHI_SIGN)
-    v = 4.0 * m.T / u
-    tau = 0.5 * (v - u)
-    y1 = 0.5 * (v + u)
-    return MinkowskiEvent(tau, np.concatenate(([y1], m.spectators)))
+    quotient = np.concatenate(([m.T, m.phi + TWO_PI * branch], m.spectators))
+    return MinkowskiEvent.from_coords(representative_coords(quotient))
 
 
 def misner_metric(T, dim=2):
-    """Quotient metric at coordinate time T, in (T, phi, y^2, ...) order."""
+    """Quotient metric at coordinate time T (scalar, or array for a stack),
+    in (T, phi, y^2, ...) order."""
     if dim < 2:
         raise PreconditionError(f"dimension must be >= 2, got {dim}")
-    g = np.eye(dim)
-    g[0, 0] = 0.0
-    g[0, 1] = g[1, 0] = -1.0
-    g[1, 1] = -float(T)
+    T = np.asarray(T, dtype=float)
+    g = np.broadcast_to(np.eye(dim), T.shape + (dim, dim)).copy()
+    g[..., 0, 0] = 0.0
+    g[..., 0, 1] = g[..., 1, 0] = -1.0
+    g[..., 1, 1] = -T
     return g
 
 
-def quotient_map_coords(coords):
-    """(T, phi_raw, spectators) of flattened event coordinates; the chart
-    form of the quotient map used for differentiation."""
-    tau = coords[0]
-    y1 = coords[1]
-    u = y1 - tau
-    if not u > 0.0:
-        raise RegionError(
-            f"event outside the half-space y1 - tau > 0: tau = {tau}, y1 = {y1}",
-            tau=float(tau), y1=float(y1),
-        )
-    out = np.empty_like(coords)
-    out[0] = (y1 * y1 - tau * tau) / 4.0
-    out[1] = PHI_SIGN * math.log(u / 2.0)
-    out[2:] = coords[2:]
-    return out
+def quotient_jacobian(events, cfg=None):
+    """(m, N, N) central-difference Jacobians of the quotient map over
+    (m, N) events in the half-space; the stencil stays inside it."""
+    cfg = cfg or NumericConfig()
+    events = np.asarray(events, dtype=float)
+    u = require_region(events[:, 0], events[:, 1])
+    steps = np.minimum(fd_steps(events, cfg.fd_step), 0.25 * u[:, None])
+    return central_diff(quotient_map_coords, events, steps)
+
+
+def quotient_isometry_residual_grid(events, cfg=None):
+    """Max-norm mismatch, per event of an (m, N) array, between the
+    quotient metric pulled back through the (finite-difference) Jacobian
+    of the quotient map and the flat metric; zero where the quotient map is
+    a local isometry."""
+    events = np.asarray(events, dtype=float)
+    jac = quotient_jacobian(events, cfg)
+    T = (events[:, 1] ** 2 - events[:, 0] ** 2) / 4.0
+    back = np.swapaxes(jac, 1, 2) @ misner_metric(T, events.shape[1]) @ jac
+    return np.abs(back - minkowski_eta(events.shape[1])).max(axis=(1, 2))
 
 
 def quotient_isometry_residual(e, cfg=None):
-    """Max-norm mismatch between the quotient metric pulled back through
-    the (finite-difference) Jacobian of the quotient map and the flat
-    metric at e; zero where the quotient map is a local isometry."""
-    if not in_region_R(e):
-        raise RegionError(
-            f"event outside the half-space y1 - tau > 0: tau = {e.tau}, y1 = {e.y[0]}",
-            tau=e.tau, y1=float(e.y[0]),
-        )
-    cfg = cfg or NumericConfig()
-    coords = e.coords()
-    dim = coords.size
-    steps = fd_steps(coords, cfg.fd_step)
-    # Keep the stencil inside the half-space.
-    u = coords[1] - coords[0]
-    steps = np.minimum(steps, 0.25 * u)
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        up = coords.copy()
-        dn = coords.copy()
-        up[k] += steps[k]
-        dn[k] -= steps[k]
-        jac[:, k] = (quotient_map_coords(up) - quotient_map_coords(dn)) / (2.0 * steps[k])
-    T = (coords[1] ** 2 - coords[0] ** 2) / 4.0
-    g_quot = misner_metric(T, dim)
-    back = jac.T @ g_quot @ jac
-    return float(np.abs(back - minkowski_eta(dim)).max())
+    """quotient_isometry_residual_grid at one event."""
+    return float(quotient_isometry_residual_grid(e.batch(), cfg)[0])
 
 
 def source_embedding_map(source, n=2, family=None, cfg=None):
@@ -211,6 +239,4 @@ def compose_embedding(p, source="explicit", family=None, cfg=None):
     RegionError naming the offending (tau, y1) pair rather than silently
     restricting the domain.
     """
-    map_ = source_embedding_map(source, p.n, family, cfg)
-    event = map_.value_eval(p)
-    return to_misner(event)
+    return to_misner(source_embedding_map(source, p.n, family, cfg).value_eval(p))

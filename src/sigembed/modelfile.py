@@ -12,7 +12,8 @@ cosh, tanh, and the constants pi and e.  Expressions are parsed into an
 AST and evaluated against a whitelist, never executed, so a model file
 cannot run arbitrary code.  The time-time component is always -t and the
 time-space components are zero (the radical-adapted canonical form); only
-the spatial block is user-defined.
+the spatial block is user-defined.  Expressions evaluate on arrays, one
+entry per chart point.
 """
 
 import ast
@@ -21,7 +22,6 @@ import operator
 
 import numpy as np
 
-from .errors import EvaluationError
 from .metric import MetricModel
 
 _BINOPS = {
@@ -99,7 +99,8 @@ def _compile_node(node, names):
 
 
 def compile_expression(text, coordinate_names):
-    """Compile one expression of the mini-grammar into env -> float."""
+    """Compile one expression of the mini-grammar into env -> value; the
+    value is an array when the environment holds arrays."""
     source = str(text).replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval")
@@ -129,32 +130,16 @@ def model_from_dict(data):
         [compile_expression(rows[i][j], names) for j in range(m)] for i in range(m)
     ]
 
-    def _env(p):
-        env = {"t": p.t}
-        for i in range(1, n):
-            env[f"x{i}"] = float(p.spatial[i - 1])
-        return env
-
-    def spatial_block_eval(p):
-        env = _env(p)
-        block = np.array([[entries[i][j](env) for j in range(m)] for i in range(m)],
-                         dtype=float)
-        scale = max(1.0, float(np.abs(block).max()))
-        if np.abs(block - block.T).max() > 1e-12 * scale:
-            raise EvaluationError("spatial block expressions are not symmetric")
-        return block
-
-    def component_eval(p):
-        g = np.zeros((n, n))
-        g[0, 0] = -p.t
-        g[1:, 1:] = spatial_block_eval(p)
+    def components(coords):
+        env = dict(zip(names, coords.T))
+        g = np.zeros((coords.shape[0], n, n))
+        g[:, 0, 0] = -coords[:, 0]
+        for i in range(m):
+            for j in range(m):
+                g[:, i + 1, j + 1] = entries[i][j](env)
         return g
 
-    return MetricModel(
-        dimension=n,
-        component_eval=component_eval,
-        spatial_block_eval=spatial_block_eval,
-    )
+    return MetricModel(dimension=n, components=components)
 
 
 def load_model(path):

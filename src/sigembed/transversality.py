@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, PreconditionError, RegionError
-from .minkowski import MinkowskiEvent, map_jacobian
-from .misner import boost_tau_y1, in_region_R
+from .errors import CapabilityError, DomainError, PreconditionError
+from .minkowski import MinkowskiEvent, jacobian_grid, map_jacobian
+from .misner import boost_tau_y1, require_region
 
 # An orbit point counts as on-image when the membership residual refines
 # below this absolute tolerance; rejects pole-crossing pseudo-roots.
@@ -47,40 +47,53 @@ class OrbitProfile:
 def killing_at(e):
     """Boost generator at an event: tau-component y1, y1-component tau,
     zero on spectators.  Vanishes only at the fixed point tau = y1 = 0."""
-    k = np.zeros(e.dim)
-    k[0] = float(e.y[0])
-    k[1] = e.tau
+    return _killing(e.batch())[0]
+
+
+def _killing(events):
+    k = np.zeros_like(events)
+    k[:, 0] = events[:, 1]
+    k[:, 1] = events[:, 0]
     return k
 
 
-def tangency_residual(map_, p, mode="analytic", cfg=None):
+def tangency_residual_grid(map_, coords, mode="analytic", cfg=None):
     """Normalised least-squares defect of fitting the Killing vector into
-    the image tangent space at map(p); strictly positive iff K is not
-    tangent there, i.e. the image is transverse to the orbit."""
-    if map_.domain_check is not None and not map_.domain_check(p):
-        raise PreconditionError(f"point {p} outside the embedding domain")
-    event = map_.value_eval(p)
-    k = killing_at(event)
-    k_norm = float(np.linalg.norm(k))
-    if k_norm == 0.0:
+    the image tangent space, over an (m, n) coordinate array; strictly
+    positive iff K is not tangent there, i.e. the image is transverse to
+    the orbit."""
+    coords = np.asarray(coords, dtype=float)
+    try:
+        events = map_.value(coords)
+    except DomainError as exc:
+        raise PreconditionError(f"point outside the embedding domain: {exc}") from exc
+    k = _killing(events)
+    k_norm = np.linalg.norm(k, axis=1)
+    if (k_norm == 0.0).any():
         raise PreconditionError(
             "orbit degenerates at the boost fixed point (tau = y1 = 0); "
             "tangency is undefined there"
         )
-    jac = map_jacobian(map_, p, mode, cfg)
+    jac = jacobian_grid(map_, coords, mode, cfg)
     # Spatial tangents must not all align with the first spatial axis,
     # otherwise a positive residual does not certify transversality.
-    spectator_rows = jac[2:, :]
-    if spectator_rows.size and np.abs(spectator_rows).max() <= 1e-14 * max(
-        1.0, float(np.abs(jac).max())
-    ):
-        warnings.warn(
-            "all spatial tangent vectors lie along the first spatial axis; "
-            "the tangency test cannot certify transversality here",
-            stacklevel=2,
-        )
-    coef, *_ = np.linalg.lstsq(jac, k, rcond=None)
-    return float(np.linalg.norm(k - jac @ coef)) / k_norm
+    if jac.shape[1] > 2:
+        spectator = np.abs(jac[:, 2:, :]).max(axis=(1, 2))
+        if (spectator <= 1e-14 * np.maximum(1.0, np.abs(jac).max(axis=(1, 2)))).any():
+            warnings.warn(
+                "all spatial tangent vectors lie along the first spatial axis; "
+                "the tangency test cannot certify transversality here",
+                stacklevel=2,
+            )
+    # least squares through the pseudo-inverse, with lstsq's default cutoff
+    rcond = np.finfo(float).eps * max(jac.shape[1:])
+    coef = np.linalg.pinv(jac, rcond) @ k[:, :, None]
+    return np.linalg.norm(k - (jac @ coef)[:, :, 0], axis=1) / k_norm
+
+
+def tangency_residual(map_, p, mode="analytic", cfg=None):
+    """tangency_residual_grid at one chart point."""
+    return float(tangency_residual_grid(map_, p.batch(), mode, cfg)[0])
 
 
 def tangency_obstruction_det(map_, p, mode="analytic", cfg=None):
@@ -108,25 +121,31 @@ def toy_tangency_poly(t):
     return 2.0 * t * t + t + 2.0, -15.0
 
 
-def _boosted_event(base, s):
-    tau, y1 = boost_tau_y1(base.tau, float(base.y[0]), s)
-    y = base.y.copy()
-    y[0] = y1
-    return MinkowskiEvent(tau, y)
+def _orbit_events(base, s):
+    """Events boost(base, s) for an array of rapidities s, as (m, N)."""
+    events = np.repeat(base.coords()[None, :], np.size(s), axis=0)
+    events[:, 0], events[:, 1] = boost_tau_y1(base.tau, float(base.y[0]), s)
+    return events
 
 
-def _require_orbit_capable(map_):
+def _require_orbit_capable(map_, base):
     if map_.on_image_residual is None or map_.event_time is None:
         raise CapabilityError(
             "map does not expose an image-membership residual and preimage "
             "time; orbit scans need an invertible-on-image map"
         )
+    # orbits preserve the half-space
+    require_region(base.tau, base.y[0])
 
 
-def _refine_root(map_, base, s_lo, s_hi, r_lo, r_hi, iters=100):
+def _residual_at(map_, base, s):
+    return float(map_.on_image_residual(_orbit_events(base, np.array([s])))[0])
+
+
+def _refine_root(map_, base, s_lo, s_hi, r_lo, iters=100):
     for _ in range(iters):
         s_mid = 0.5 * (s_lo + s_hi)
-        r_mid = map_.on_image_residual(_boosted_event(base, s_mid))
+        r_mid = _residual_at(map_, base, s_mid)
         if not np.isfinite(r_mid):
             return None
         if r_mid == 0.0:
@@ -134,32 +153,36 @@ def _refine_root(map_, base, s_lo, s_hi, r_lo, r_hi, iters=100):
         if (r_mid < 0.0) == (r_lo < 0.0):
             s_lo, r_lo = s_mid, r_mid
         else:
-            s_hi, r_hi = s_mid, r_mid
+            s_hi = s_mid
         if s_hi - s_lo <= 1e-14 * max(1.0, abs(s_hi)):
             break
     return 0.5 * (s_lo + s_hi)
 
 
+def _scan(map_, base, s_range, samples):
+    """Rapidity grid, orbit events and membership residuals of one scan."""
+    _require_orbit_capable(map_, base)
+    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), int(samples))
+    events = _orbit_events(base, s_grid)
+    return s_grid, events, np.asarray(map_.on_image_residual(events), dtype=float)
+
+
 def _scan_intersections(map_, base, s_grid, residuals):
     ds = s_grid[1] - s_grid[0]
-    roots = []
-    for s, r in zip(s_grid, residuals):
-        if np.isfinite(r) and abs(r) <= MEMBERSHIP_TOL:
-            roots.append(float(s))
-    for i in range(len(s_grid) - 1):
-        r0, r1 = residuals[i], residuals[i + 1]
-        if not (np.isfinite(r0) and np.isfinite(r1)):
+    finite = np.isfinite(residuals)
+    on_node = finite & (np.abs(residuals) <= MEMBERSHIP_TOL)
+    roots = [float(s) for s in s_grid[on_node]]
+    # sign changes between finite nodes not already collected as roots
+    sign_change = ((residuals[:-1] < 0.0) != (residuals[1:] < 0.0)) & (
+        finite[:-1] & finite[1:] & ~on_node[:-1] & ~on_node[1:])
+    for i in np.flatnonzero(sign_change):
+        s_star = _refine_root(map_, base, s_grid[i], s_grid[i + 1], residuals[i])
+        if s_star is None:
             continue
-        if abs(r0) <= MEMBERSHIP_TOL or abs(r1) <= MEMBERSHIP_TOL:
-            continue  # already collected as node roots
-        if (r0 < 0.0) != (r1 < 0.0):
-            s_star = _refine_root(map_, base, s_grid[i], s_grid[i + 1], r0, r1)
-            if s_star is None:
-                continue
-            r_star = map_.on_image_residual(_boosted_event(base, s_star))
-            # pole crossings refine to a sign change with a large residual
-            if np.isfinite(r_star) and abs(r_star) <= MEMBERSHIP_TOL:
-                roots.append(float(s_star))
+        r_star = _residual_at(map_, base, s_star)
+        # pole crossings refine to a sign change with a large residual
+        if np.isfinite(r_star) and abs(r_star) <= MEMBERSHIP_TOL:
+            roots.append(float(s_star))
     roots.sort()
     merged = []
     for s in roots:
@@ -198,37 +221,24 @@ def orbit_time_profile(map_, base, s_range=(-20.0, 20.0), samples=801, cfg=None)
     The base must lie in the half-space y1 - tau > 0 (orbits preserve it);
     the map must expose membership and preimage-time evaluators.
     """
-    _require_orbit_capable(map_)
-    if not in_region_R(base):
-        raise RegionError(
-            f"orbit base outside the half-space: tau = {base.tau}, y1 = {base.y[0]}",
-            tau=base.tau, y1=float(base.y[0]),
-        )
+    s_grid, events, residuals = _scan(map_, base, s_range, samples)
     if samples < 2:
         raise PreconditionError(f"samples must be >= 2, got {samples}")
-    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), int(samples))
-    events = [_boosted_event(base, s) for s in s_grid]
-    residuals = np.array([map_.on_image_residual(e) for e in events], dtype=float)
-    times = np.array([map_.event_time(e) for e in events], dtype=float)
+    times = np.asarray(map_.event_time(events), dtype=float)
 
-    sample_list = []
-    for s, e, r, tv in zip(s_grid, events, residuals, times):
-        on_image = np.isfinite(r) and abs(r) <= MEMBERSHIP_TOL
-        sample_list.append(
-            OrbitSample(s=float(s), event=e,
-                        t_value=float(tv) if on_image and np.isfinite(tv) else None)
-        )
-
-    roots = _scan_intersections(map_, base, s_grid, residuals)
-    intersections = []
-    for s_star in roots:
-        t_star = map_.event_time(_boosted_event(base, s_star))
-        intersections.append((float(s_star), float(t_star)))
-
+    on_image = np.isfinite(residuals) & (np.abs(residuals) <= MEMBERSHIP_TOL)
+    sample_list = tuple(
+        OrbitSample(s=float(s), event=MinkowskiEvent.from_coords(e),
+                    t_value=float(tv) if hit and np.isfinite(tv) else None)
+        for s, e, tv, hit in zip(s_grid, events, times, on_image)
+    )
+    roots = np.array(_scan_intersections(map_, base, s_grid, residuals))
+    intersections = tuple(
+        zip(roots.tolist(), map_.event_time(_orbit_events(base, roots)).tolist()))
     classification, extremum_s = _classify_profile(s_grid, times)
     return OrbitProfile(
-        samples=tuple(sample_list),
-        intersections=tuple(intersections),
+        samples=sample_list,
+        intersections=intersections,
         classification=classification,
         extremum_s=extremum_s,
     )
@@ -238,15 +248,5 @@ def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
                              cfg=None):
     """Number of isolated boost parameters at which the orbit through
     ``base`` lies on the embedded image."""
-    _require_orbit_capable(map_)
-    if not in_region_R(base):
-        raise RegionError(
-            f"orbit base outside the half-space: tau = {base.tau}, y1 = {base.y[0]}",
-            tau=base.tau, y1=float(base.y[0]),
-        )
-    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), int(samples))
-    residuals = np.array(
-        [map_.on_image_residual(_boosted_event(base, s)) for s in s_grid],
-        dtype=float,
-    )
+    s_grid, _, residuals = _scan(map_, base, s_range, samples)
     return len(_scan_intersections(map_, base, s_grid, residuals))

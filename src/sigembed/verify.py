@@ -10,17 +10,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig
+from .config import NumericConfig, central_diff, fd_steps
 from .errors import RegionError
-from .metric import (ChartPoint, SignatureClass, classify_signature_grid,
-                     lc_regularity_at, radical_transversality, toy_model)
+from .metric import (SignatureClass, classify_signature_grid,
+                     eval_metric_grid, lc_regularity_grid,
+                     radical_transversality_grid, slice_metric_grid, toy_model)
 from .minkowski import MinkowskiEvent, isometry_residual_grid, psi_toy_map
-from .misner import (MisnerEvent, PHI_SIGN, TWO_PI, boost, compose_embedding,
-                     from_misner, misner_metric, quotient_isometry_residual,
-                     quotient_map_coords, source_embedding_map, to_misner)
+from .misner import (TWO_PI, BoostSpec, boost_tau_y1, canonical_phi,
+                     misner_metric, quotient_isometry_residual_grid,
+                     quotient_jacobian, quotient_map_coords, representative_coords,
+                     require_region, source_embedding_map)
 from .explicit import (HyperbolaFamily, asymptotic_theta, embed_explicit_grid,
-                       ode_residual, theta_of_t, theta_of_t_grid)
-from .transversality import (orbit_intersection_count, tangency_residual,
+                       ode_residual_grid, t_of_theta_grid, theta_of_t,
+                       theta_of_t_grid)
+from .transversality import (orbit_intersection_count, tangency_residual_grid,
                              toy_tangency_poly)
 
 # Scan-derived lower bound for the canonical-model tangency residual over
@@ -38,6 +41,13 @@ class CheckResult:
     passed: bool
     max_residual: float
     grid: str
+
+    @classmethod
+    def from_failures(cls, name, failures, grid):
+        """Result that passes when no sample failed; the residual is the
+        number of failures."""
+        return cls(name=name, passed=failures == 0, max_residual=float(failures),
+                   grid=grid)
 
     def as_dict(self):
         return {
@@ -67,34 +77,21 @@ def perturbed_psi_map(n=2, scale=1.01):
     detects non-isometries."""
     base = psi_toy_map(n)
 
-    def value_eval(p):
-        e = base.value_eval(p)
-        return MinkowskiEvent(scale * e.tau, e.y)
-
-    def jacobian_eval(p):
-        jac = base.jacobian_eval(p).copy()
-        jac[0, :] *= scale
-        return jac
-
-    def value_batch(coords):
-        out = base.value_batch(coords).copy()
+    def value(coords):
+        out = base.value(coords)
         out[:, 0] *= scale
         return out
 
-    def jacobian_batch(coords):
-        jac = base.jacobian_batch(coords).copy()
+    def jacobian(coords):
+        jac = base.jacobian(coords)
         jac[:, 0, :] *= scale
         return jac
 
-    return dataclasses.replace(
-        base, value_eval=value_eval, jacobian_eval=jacobian_eval,
-        value_batch=value_batch, jacobian_batch=jacobian_batch,
-    )
+    return dataclasses.replace(base, value=value, jacobian=jacobian)
 
 
 def check_isometry_psi(n=2, mode="finite_difference", t_count=200, x_count=50,
                        tol=None, scale=1.0, cfg=None):
-    cfg = cfg or NumericConfig()
     tol = tol if tol is not None else (1e-12 if mode == "analytic" else 1e-6)
     model = toy_model(n)
     map_ = psi_toy_map(n) if scale == 1.0 else perturbed_psi_map(n, scale)
@@ -108,16 +105,22 @@ def check_isometry_psi(n=2, mode="finite_difference", t_count=200, x_count=50,
     )
 
 
-def check_signature_sweep(n=2, count=100_000, tol=1e-10):
-    model = toy_model(n)
-    ts = np.linspace(-5.0, 5.0, count)
-    coords = np.column_stack([ts] + [np.full(count, 0.7)] * (n - 1))
+def _signature_mismatches(model, ts, x, tol=1e-10):
+    """Points of a t-sweep at spatial coordinates x whose class is not
+    Riemannian for t < 0, degenerate at 0 and Lorentzian for t > 0; and
+    the (negative, zero, positive) eigenvalue counts."""
+    coords = np.column_stack([ts] + [np.full(ts.size, x)] * (model.dimension - 1))
     classes, neg, zero, pos = classify_signature_grid(model, coords, tol)
     expected = np.where(
         ts < 0, SignatureClass.RIEMANNIAN,
         np.where(ts > 0, SignatureClass.LORENTZIAN, SignatureClass.DEGENERATE),
     )
-    mismatches = int(np.sum(classes != expected))
+    return int(np.sum(classes != expected)), neg, zero, pos
+
+
+def check_signature_sweep(n=2, count=100_000, tol=1e-10):
+    ts = np.linspace(-5.0, 5.0, count)
+    mismatches, neg, zero, pos = _signature_mismatches(toy_model(n), ts, 0.7, tol)
     counts_ok = (
         np.all(neg[ts > 0] == 1) and np.all(pos[ts > 0] == n - 1)
         and np.all(neg[ts < 0] == 0) and np.all(pos[ts < 0] == n)
@@ -131,26 +134,36 @@ def check_signature_sweep(n=2, count=100_000, tol=1e-10):
     )
 
 
+def _lc_failures(model, rng, samples, x_span, cfg=None):
+    """Seeded null directions on t = 0 at which light-cone regularity fails.
+
+    On the degeneracy locus the null directions span the radical
+    (a, 0, ..., 0), for any positive-definite spatial block.
+    """
+    n = model.dimension
+    coords = np.zeros((samples, n))
+    directions = np.zeros((samples, n))
+    for k in range(samples):
+        coords[k, 1:] = rng.uniform(-x_span, x_span, size=n - 1)
+        directions[k, 0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    regular = lc_regularity_grid(model, coords, directions, 1e-9, cfg)
+    return int(np.count_nonzero(~regular))
+
+
+def _locus_points(rng, samples, n, x_span):
+    """Seeded points (0, x) of the degeneracy locus t = 0."""
+    return np.column_stack([np.zeros(samples),
+                            rng.uniform(-x_span, x_span, size=(samples, n - 1))])
+
+
 def check_lc_regularity(dims=(2, 3, 4), samples_per_dim=334, seed=7, cfg=None):
     rng = np.random.default_rng(seed)
-    failures = 0
-    total = 0
-    for n in dims:
-        model = toy_model(n)
-        for _ in range(samples_per_dim):
-            x = rng.uniform(-5.0, 5.0, size=n - 1)
-            # on the degeneracy locus the null directions span the radical
-            v = np.zeros(n)
-            v[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            total += 1
-            if not lc_regularity_at(model, ChartPoint(0.0, x), v, 1e-9, cfg):
-                failures += 1
-    return CheckResult(
-        name="lc_regularity_on_locus",
-        passed=failures == 0,
-        max_residual=float(failures),
-        grid=f"{total} null directions on t=0, n in {list(dims)}",
-    )
+    failures = sum(_lc_failures(toy_model(n), rng, samples_per_dim, 5.0, cfg)
+                   for n in dims)
+    total = samples_per_dim * len(dims)
+    return CheckResult.from_failures(
+        "lc_regularity_on_locus", failures,
+        f"{total} null directions on t=0, n in {list(dims)}")
 
 
 def check_radical_transversality(dims=(2, 3), samples_per_dim=100, seed=11,
@@ -159,19 +172,15 @@ def check_radical_transversality(dims=(2, 3), samples_per_dim=100, seed=11,
     rng = np.random.default_rng(seed)
     worst_grad_err = 0.0
     failures = 0
-    total = 0
     for n in dims:
         model = toy_model(n)
-        model_fd = dataclasses.replace(model, derivative_eval=None)
-        for _ in range(samples_per_dim):
-            x = rng.uniform(-5.0, 5.0, size=n - 1)
-            p = ChartPoint(0.0, x)
-            det, grad, transverse = radical_transversality(model, p, cfg=cfg)
-            _, grad_fd, _ = radical_transversality(model_fd, p, cfg=cfg)
-            total += 1
-            if not (transverse and abs(det) <= 1e-12):
-                failures += 1
-            worst_grad_err = max(worst_grad_err, float(np.abs(grad - grad_fd).max()))
+        coords = _locus_points(rng, samples_per_dim, n, 5.0)
+        det, grad, transverse = radical_transversality_grid(model, coords, cfg=cfg)
+        _, grad_fd, _ = radical_transversality_grid(
+            dataclasses.replace(model, derivatives=None), coords, cfg=cfg)
+        failures += int(np.count_nonzero(~(transverse & (np.abs(det) <= 1e-12))))
+        worst_grad_err = max(worst_grad_err, float(np.abs(grad - grad_fd).max()))
+    total = samples_per_dim * len(dims)
     grad_tol = 10.0 * cfg.fd_step**2
     return CheckResult(
         name="radical_transversality_on_locus",
@@ -182,10 +191,9 @@ def check_radical_transversality(dims=(2, 3), samples_per_dim=100, seed=11,
 
 
 def check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=None):
-    cfg = cfg or NumericConfig()
     ts = np.linspace(-t_span, t_span, count)
     ts = ts[np.abs(ts) > 1e-6]
-    worst = max(ode_residual(t, HyperbolaFamily(0.0), cfg) for t in ts)
+    worst = ode_residual_grid(ts, HyperbolaFamily(0.0), cfg).max()
     return CheckResult(
         name="explicit_ode_residual",
         passed=worst <= tol,
@@ -195,15 +203,10 @@ def check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=None):
 
 
 def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=None):
-    cfg = cfg or NumericConfig()
     ts = np.linspace(-t_span, t_span, count)
     thetas = theta_of_t_grid(ts, cfg)
-    from . import _kernels
-    values, status = _kernels.arc_integral_batch(thetas, cfg)
-    if np.any(status != 0):
-        raise RuntimeError("round-trip grid reaches the pole of the arc integral")
-    t_back = np.sign(values) * (1.5 * np.abs(values)) ** (2.0 / 3.0)
-    worst = float(np.abs(t_back - ts).max())
+    # nan (a theta at the pole) fails the check
+    worst = float(np.abs(t_of_theta_grid(thetas, cfg) - ts).max())
     increasing = bool(np.all(np.diff(thetas) > 0.0))
     return CheckResult(
         name="inversion_roundtrip",
@@ -214,12 +217,9 @@ def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=None):
 
 
 def check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2, cfg=None):
-    cfg = cfg or NumericConfig()
-    worst = 0.0
-    for mag in magnitudes:
-        for t in (mag, -mag):
-            small, _ = asymptotic_theta(t)
-            worst = max(worst, abs(theta_of_t(t, cfg) - small) / abs(t))
+    ts = np.array([sign * mag for mag in magnitudes for sign in (1.0, -1.0)])
+    small = np.array([asymptotic_theta(t)[0] for t in ts])
+    worst = np.max(np.abs(theta_of_t_grid(ts, cfg) - small) / np.abs(ts))
     return CheckResult(
         name="asymptotic_small_t",
         passed=worst <= tol,
@@ -229,7 +229,6 @@ def check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2, cfg=None):
 
 
 def check_asymptotics_large_negative(t=-100.0, tol=2e-2, cfg=None):
-    cfg = cfg or NumericConfig()
     _, large = asymptotic_theta(t)
     rel = abs(theta_of_t(t, cfg) - large) / abs(large)
     return CheckResult(
@@ -241,23 +240,20 @@ def check_asymptotics_large_negative(t=-100.0, tol=2e-2, cfg=None):
 
 
 def sample_region_events(count, n_target=3, seed=23):
-    """Seeded events in the half-space, bounded away from its boundary so
-    finite-difference stencils stay well conditioned."""
+    """Seeded (count, n_target) events in the half-space, bounded away from
+    its boundary so finite-difference stencils stay well conditioned."""
     rng = np.random.default_rng(seed)
-    events = []
-    for _ in range(count):
-        tau = rng.uniform(-3.0, 3.0)
-        u = rng.uniform(0.3, 6.0)
-        spect = rng.uniform(-2.0, 2.0, size=n_target - 2)
-        events.append(MinkowskiEvent(tau, np.concatenate(([tau + u], spect))))
+    # columns tau, u = y1 - tau and the spectators, drawn row by row
+    spect = n_target - 2
+    events = rng.uniform([-3.0, 0.3] + [-2.0] * spect, [3.0, 6.0] + [2.0] * spect,
+                         size=(count, n_target))
+    events[:, 1] += events[:, 0]
     return events
 
 
 def check_quotient_isometry(count=1000, tol=1e-6, seed=23, cfg=None):
-    cfg = cfg or NumericConfig()
-    worst = max(
-        quotient_isometry_residual(e, cfg) for e in sample_region_events(count, 3, seed)
-    )
+    events = sample_region_events(count, 3, seed)
+    worst = quotient_isometry_residual_grid(events, cfg).max()
     return CheckResult(
         name="quotient_isometry",
         passed=worst <= tol,
@@ -270,20 +266,18 @@ def check_boost_identification(count=200, tol=1e-12, seed=29):
     # Events of moderate magnitude: the shift is exact in real arithmetic,
     # and this sampler keeps the cosh(pi)-scale cancellation below tol.
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        tau = rng.uniform(-1.0, 1.0)
-        u = rng.uniform(1.0, 4.0)
-        spect = rng.uniform(-1.0, 1.0, size=1)
-        e = MinkowskiEvent(tau, np.concatenate(([tau + u], spect)))
-        m0 = to_misner(e)
-        m1 = to_misner(boost(e))
-        worst = max(
-            worst,
-            abs((m1.phi_raw - m0.phi_raw) - TWO_PI),
-            abs(m1.T - m0.T),
-            _angular_distance(m1.phi, m0.phi),
-        )
+    # columns tau, u = y1 - tau and one spectator, drawn row by row
+    events = rng.uniform([-1.0, 1.0, -1.0], [1.0, 4.0, 1.0], size=(count, 3))
+    events[:, 1] += events[:, 0]
+    boosted = events.copy()
+    boosted[:, 0], boosted[:, 1] = boost_tau_y1(events[:, 0], events[:, 1],
+                                                BoostSpec().total_rapidity)
+    q0, q1 = quotient_map_coords(events), quotient_map_coords(boosted)
+    worst = max(
+        np.abs((q1[:, 1] - q0[:, 1]) - TWO_PI).max(),
+        np.abs(q1[:, 0] - q0[:, 0]).max(),
+        _angular_distance(canonical_phi(q1[:, 1]), canonical_phi(q0[:, 1])).max(),
+    )
     return CheckResult(
         name="boost_identification",
         passed=worst <= tol,
@@ -293,8 +287,8 @@ def check_boost_identification(count=200, tol=1e-12, seed=29):
 
 
 def _angular_distance(a, b):
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
 def check_misner_roundtrip(count=1000, branches=range(-3, 4), tol=1e-12, seed=31):
@@ -309,28 +303,27 @@ def check_misner_roundtrip(count=1000, branches=range(-3, 4), tol=1e-12, seed=31
     """
     eps = float(np.finfo(float).eps)
     rng = np.random.default_rng(seed)
+    # columns T, phi and one spectator, drawn row by row
+    points = rng.uniform([-5.0, 0.0, -2.0], [5.0, TWO_PI, 2.0], size=(count, 3))
     worst_base = 0.0
     worst_ratio = 0.0
-    for _ in range(count):
-        T = rng.uniform(-5.0, 5.0)
-        phi = rng.uniform(0.0, TWO_PI)
-        spect = rng.uniform(-2.0, 2.0, size=1)
-        point = MisnerEvent(T=T, phi=phi, spectators=spect, phi_raw=phi)
-        for k in branches:
-            e = from_misner(point, k)
-            u = float(e.y[0]) - e.tau
-            v = float(e.y[0]) + e.tau
-            m = to_misner(e)
-            d_phi = max(abs(m.phi_raw - (phi + TWO_PI * k)),
-                        _angular_distance(m.phi, phi))
-            d_t = abs(m.T - T)
-            d_spect = float(np.abs(m.spectators - spect).max())
-            if k == 0:
-                worst_base = max(worst_base, d_phi, d_t, d_spect)
-            tol_phi = 64.0 * eps * (1.0 + (abs(v) + u) / u)
-            tol_t = 64.0 * eps * max(1.0, 0.25 * max(u, abs(v)) ** 2)
-            worst_ratio = max(worst_ratio, d_phi / tol_phi, d_t / tol_t,
-                              d_spect / (64.0 * eps))
+    for k in branches:
+        quotient = points.copy()
+        quotient[:, 1] += TWO_PI * k
+        events = representative_coords(quotient)
+        u = events[:, 1] - events[:, 0]
+        v = events[:, 1] + events[:, 0]
+        back = quotient_map_coords(events)
+        d_phi = np.maximum(np.abs(back[:, 1] - quotient[:, 1]),
+                           _angular_distance(canonical_phi(back[:, 1]), points[:, 1]))
+        d_t = np.abs(back[:, 0] - points[:, 0])
+        d_spect = np.abs(back[:, 2] - points[:, 2])
+        if k == 0:
+            worst_base = max(d_phi.max(), d_t.max(), d_spect.max())
+        tol_phi = 64.0 * eps * (1.0 + (np.abs(v) + u) / u)
+        tol_t = 64.0 * eps * np.maximum(1.0, 0.25 * np.maximum(u, np.abs(v)) ** 2)
+        worst_ratio = max(worst_ratio, (d_phi / tol_phi).max(), (d_t / tol_t).max(),
+                          d_spect.max() / (64.0 * eps))
     return CheckResult(
         name="misner_roundtrip",
         passed=worst_base <= tol and worst_ratio <= 1.0,
@@ -341,10 +334,9 @@ def check_misner_roundtrip(count=1000, branches=range(-3, 4), tol=1e-12, seed=31
 
 
 def check_tangency(t_count=500, floor=TANGENCY_RESIDUAL_FLOOR, cfg=None):
-    cfg = cfg or NumericConfig()
-    map_ = psi_toy_map(2)
     ts = np.linspace(-0.99, 10.0, t_count)
-    min_res = min(tangency_residual(map_, ChartPoint(t, [0.3]), cfg=cfg) for t in ts)
+    coords = np.column_stack([ts, np.full(t_count, 0.3)])
+    min_res = tangency_residual_grid(psi_toy_map(2), coords, cfg=cfg).min()
     _, disc = toy_tangency_poly(0.0)
     poly_ok = disc == -15.0 and all(toy_tangency_poly(t)[0] >= 1.875 for t in ts)
     return CheckResult(
@@ -356,64 +348,39 @@ def check_tangency(t_count=500, floor=TANGENCY_RESIDUAL_FLOOR, cfg=None):
 
 
 def check_orbit_injectivity(bases_per_map=12, samples=2001, seed=37, cfg=None):
-    cfg = cfg or NumericConfig()
     rng = np.random.default_rng(seed)
     worst = 0
-    total = 0
-    psi_map = psi_toy_map(2)
-    for _ in range(bases_per_map):
-        t = rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0)
-        base = psi_map.value_eval(ChartPoint(t, [rng.uniform(-5, 5)]))
-        count = orbit_intersection_count(psi_map, base, (-20, 20), samples, cfg)
-        worst = max(worst, abs(count - 1))
-        total += 1
-    exp_map = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg)
-    for _ in range(bases_per_map):
-        t = rng.uniform(-10.0, 10.0)
-        base = exp_map.value_eval(ChartPoint(t, [rng.uniform(-5, 5)]))
-        count = orbit_intersection_count(exp_map, base, (-20, 20), samples, cfg)
-        worst = max(worst, abs(count - 1))
-        total += 1
-    return CheckResult(
-        name="orbit_intersection_counts",
-        passed=worst == 0,
-        max_residual=float(worst),
-        grid=f"{total} on-image bases, s in [-20, 20] x{samples}",
-    )
+    scans = [(psi_toy_map(2), PSI_REGION_T_MIN + 1e-3),
+             (source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg), -10.0)]
+    for map_, t_lo in scans:
+        # chart points (t, x) of the bases, drawn row by row
+        points = rng.uniform([t_lo, -5.0], [10.0, 5.0], size=(bases_per_map, 2))
+        for base in map_.value(points):
+            count = orbit_intersection_count(map_, MinkowskiEvent.from_coords(base),
+                                             (-20, 20), samples, cfg)
+            worst = max(worst, abs(count - 1))
+    return CheckResult.from_failures(
+        "orbit_intersection_counts", worst,
+        f"{2 * bases_per_map} on-image bases, s in [-20, 20] x{samples}")
 
 
 def check_composed_injectivity(t_count=100, x_count=100, cfg=None):
-    cfg = cfg or NumericConfig()
     family = HyperbolaFamily(1.0)
     ts = np.linspace(-3.0, 3.0, t_count)
-    tau, xi = embed_explicit_grid(ts, family, cfg)
-    T = (xi**2 - tau**2) / 4.0
-    u = xi - tau
-    phi_raw = PHI_SIGN * np.log(u / 2.0)
-    phi = np.mod(phi_raw, TWO_PI)
+    q = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family, cfg)))
+    T, phi = q[:, 0], canonical_phi(q[:, 1])
     xs = np.linspace(-5.0, 5.0, x_count)
     rows = np.column_stack([
         np.repeat(T, x_count), np.repeat(phi, x_count), np.tile(xs, t_count),
     ])
-    distinct = np.unique(rows, axis=0).shape[0]
-    return CheckResult(
-        name="composed_images_distinct",
-        passed=distinct == rows.shape[0],
-        max_residual=float(rows.shape[0] - distinct),
-        grid=f"{t_count} x {x_count} composed images, shift 1",
-    )
+    collisions = rows.shape[0] - np.unique(rows, axis=0).shape[0]
+    return CheckResult.from_failures("composed_images_distinct", collisions,
+                                     f"{t_count} x {x_count} composed images, shift 1")
 
 
-def _fd_jacobian_of(func, coords, steps):
-    base_dim = len(func(coords))
-    jac = np.empty((base_dim, coords.size))
-    for k in range(coords.size):
-        up = coords.copy()
-        dn = coords.copy()
-        up[k] += steps[k]
-        dn[k] -= steps[k]
-        jac[:, k] = (np.asarray(func(up)) - np.asarray(func(dn))) / (2.0 * steps[k])
-    return jac
+def _pull(jac, g):
+    """J^T g J for stacks of Jacobians and metrics."""
+    return np.swapaxes(jac, 1, 2) @ g @ jac
 
 
 def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
@@ -422,54 +389,28 @@ def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
     source metric: all three must agree."""
     cfg = cfg or NumericConfig()
     rng = np.random.default_rng(seed)
-    family = HyperbolaFamily(1.0)
-    model = toy_model(2)
-    map_ = source_embedding_map(source, 2, family, cfg)
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), cfg)
     # the canonical-model embedding lands in the half-space only above
     # the region boundary
     t_lo = -3.0 if source == "explicit" else PSI_REGION_T_MIN + 0.05
-    from .metric import eval_metric
+    points = []
+    while len(points) < count:
+        p = np.array([rng.uniform(t_lo, 3.0), rng.uniform(-5.0, 5.0)])
+        # the half-power kink at t = 0 degrades the stencil
+        if abs(p[0]) >= 2.0 * fd_steps(p, cfg.fd_step)[0]:
+            points.append(p)
+    coords = np.array(points)
+    steps = fd_steps(coords, cfg.fd_step)
+    events = map_.value(coords)
+    g_quot = misner_metric((events[:, 1] ** 2 - events[:, 0] ** 2) / 4.0, 3)
 
-    worst = 0.0
-    done = 0
-    while done < count:
-        t = rng.uniform(t_lo, 3.0)
-        x = rng.uniform(-5.0, 5.0)
-        p = ChartPoint(t, [x])
-        coords = p.coords()
-        steps = cfg.fd_step * np.maximum(1.0, np.abs(coords))
-        if abs(t) < 2.0 * steps[0]:
-            continue  # half-power kink at t = 0 degrades the stencil
-        done += 1
-
-        def embed_coords(c):
-            return map_.value_eval(ChartPoint.from_coords(c)).coords()
-
-        def composed_coords(c):
-            return quotient_map_coords(embed_coords(c))
-
-        event = map_.value_eval(p)
-        T = (float(event.y[0]) ** 2 - event.tau**2) / 4.0
-        g_quot = misner_metric(T, event.dim)
-
-        jac_comp = _fd_jacobian_of(composed_coords, coords, steps)
-        route_a = jac_comp.T @ g_quot @ jac_comp
-
-        ev_coords = event.coords()
-        ev_steps = cfg.fd_step * np.maximum(1.0, np.abs(ev_coords))
-        ev_steps = np.minimum(ev_steps, 0.25 * (ev_coords[1] - ev_coords[0]))
-        jac_quot = _fd_jacobian_of(quotient_map_coords, ev_coords, ev_steps)
-        quot_pull = jac_quot.T @ g_quot @ jac_quot
-        jac_embed = _fd_jacobian_of(embed_coords, coords, steps)
-        route_b = jac_embed.T @ quot_pull @ jac_embed
-
-        g_source = eval_metric(model, p)
-        worst = max(
-            worst,
-            float(np.abs(route_a - route_b).max()),
-            float(np.abs(route_a - g_source).max()),
-            float(np.abs(route_b - g_source).max()),
-        )
+    jac_comp = central_diff(lambda c: quotient_map_coords(map_.value(c)), coords, steps)
+    route_a = _pull(jac_comp, g_quot)
+    quot_pull = _pull(quotient_jacobian(events, cfg), g_quot)
+    route_b = _pull(central_diff(map_.value, coords, steps), quot_pull)
+    g_source = eval_metric_grid(toy_model(2), coords)
+    worst = max(np.abs(route_a - route_b).max(), np.abs(route_a - g_source).max(),
+                np.abs(route_b - g_source).max())
     return CheckResult(
         name=f"pullback_functoriality_{source}",
         passed=worst <= tol,
@@ -481,12 +422,10 @@ def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
 def check_bulk_vs_brane(t_count=121, tol=1e-12, cfg=None):
     """Quotient (T, phi) block stays unit-determinant Lorentzian along the
     composed curve while the source determinant -t changes sign."""
-    cfg = cfg or NumericConfig()
     family = HyperbolaFamily(1.0)
     ts = np.linspace(-3.0, 3.0, t_count)
-    tau, xi = embed_explicit_grid(ts, family, cfg)
-    T = (xi**2 - tau**2) / 4.0
-    dets = np.array([np.linalg.det(misner_metric(tv, 2)) for tv in T])
+    T = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family, cfg)))[:, 0]
+    dets = np.linalg.det(misner_metric(T, 2))
     worst = float(np.abs(dets + 1.0).max())
     source_dets = -ts
     sign_ok = (
@@ -504,15 +443,14 @@ def check_bulk_vs_brane(t_count=121, tol=1e-12, cfg=None):
 
 def check_region_scan(source="explicit", t_range=(-3.0, 3.0), count=61, cfg=None):
     """Composed-embedding region membership along a t-range."""
-    cfg = cfg or NumericConfig()
     ts = np.linspace(t_range[0], t_range[1], count)
+    events = source_embedding_map(source, 2, None, cfg).value(
+        np.column_stack([ts, np.zeros(count)]))
     first_bad = None
-    for t in ts:
-        try:
-            compose_embedding(ChartPoint(t, [0.0]), source, None, cfg)
-        except RegionError:
-            first_bad = t
-            break
+    try:
+        require_region(events[:, 0], events[:, 1])
+    except RegionError as exc:
+        first_bad = ts[exc.index]
     return CheckResult(
         name=f"region_membership_{source}",
         passed=first_bad is None,
@@ -559,3 +497,49 @@ def run_all(cfg=None, perturb_scale=1.0, quick=True):
         check_region_scan("explicit", cfg=cfg),
     ]
     return results
+
+
+def check_slice_positive_definite(model):
+    n = model.dimension
+    rng = np.random.default_rng(3)
+    # columns t and x, drawn row by row
+    coords = rng.uniform([-3.0] + [-2.0] * (n - 1), [3.0] + [2.0] * (n - 1),
+                         size=(200, n))
+    pd_fail = int(np.count_nonzero(~slice_metric_grid(model, coords)[1]))
+    return CheckResult.from_failures(
+        "slice_positive_definite", pd_fail,
+        "200 seeded points, t in [-3, 3]")
+
+
+def check_user_signature_sweep(model):
+    mismatches = _signature_mismatches(model, np.linspace(-3.0, 3.0, 2001), 0.5)[0]
+    return CheckResult.from_failures(
+        "user_signature_sweep", mismatches,
+        f"t in [-3, 3] x2001, n={model.dimension}")
+
+
+def check_user_lc_regularity(model, samples=200):
+    failures = _lc_failures(model, np.random.default_rng(5), samples, 2.0)
+    return CheckResult.from_failures(
+        "user_lc_regularity", failures,
+        f"{samples} null directions on t=0, n={model.dimension}")
+
+
+def check_user_radical_transversality(model):
+    coords = _locus_points(np.random.default_rng(9), 100, model.dimension, 2.0)
+    failures = int(np.count_nonzero(~radical_transversality_grid(model, coords)[2]))
+    return CheckResult.from_failures(
+        "user_radical_transversality", failures,
+        f"100 seeded points on t=0, n={model.dimension}")
+
+
+def run_user_model(model):
+    """Metric-structure checks of a user model: slice positive
+    definiteness, signature sweep, light-cone regularity and radical
+    transversality."""
+    return [
+        check_slice_positive_definite(model),
+        check_user_signature_sweep(model),
+        check_user_lc_regularity(model),
+        check_user_radical_transversality(model),
+    ]

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from sigembed import EmbeddingMap, MinkowskiEvent
+from sigembed import EmbeddingMap
 from sigembed.misner import boost_tau_y1
 
 SQRT2 = float(np.sqrt(2.0))
@@ -60,31 +60,31 @@ def synthetic_tangent_map(slope=0.1, radius=2.0):
     def r_of(t):
         return radius + slope * t
 
-    def value_eval(p):
-        r = r_of(p.t)
-        x = p.spatial[0]
-        return MinkowskiEvent(r * np.sinh(x), [r * np.cosh(x), p.t])
+    def value(coords):
+        t, x = coords[:, 0], coords[:, 1]
+        r = r_of(t)
+        return np.column_stack([r * np.sinh(x), r * np.cosh(x), t])
 
-    def jacobian_eval(p):
-        r = r_of(p.t)
-        x = p.spatial[0]
-        return np.array([
-            [slope * np.sinh(x), r * np.cosh(x)],
-            [slope * np.cosh(x), r * np.sinh(x)],
-            [1.0, 0.0],
-        ])
+    def jacobian(coords):
+        t, x = coords[:, 0], coords[:, 1]
+        r = r_of(t)
+        return np.stack([
+            np.column_stack([slope * np.sinh(x), r * np.cosh(x)]),
+            np.column_stack([slope * np.cosh(x), r * np.sinh(x)]),
+            np.column_stack([np.ones_like(t), np.zeros_like(t)]),
+        ], axis=1)
 
-    def event_time(e):
-        return float(e.y[1])
+    def event_time(events):
+        return events[:, 2].copy()
 
-    def on_image_residual(e):
-        return float(e.y[0]) ** 2 - e.tau**2 - r_of(float(e.y[1])) ** 2
+    def on_image_residual(events):
+        return events[:, 1] ** 2 - events[:, 0] ** 2 - r_of(events[:, 2]) ** 2
 
     return EmbeddingMap(
         source_dim=2,
         target_dim=3,
-        value_eval=value_eval,
-        jacobian_eval=jacobian_eval,
+        value=value,
+        jacobian=jacobian,
         event_time=event_time,
         on_image_residual=on_image_residual,
     )
@@ -92,23 +92,17 @@ def synthetic_tangent_map(slope=0.1, radius=2.0):
 
 def boosted_frame_map(map_, rapidity):
     """The same embedding expressed in a boosted ambient frame."""
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
 
-    def value_eval(p):
-        e = map_.value_eval(p)
-        tau, y1 = boost_tau_y1(e.tau, float(e.y[0]), rapidity)
-        y = e.y.copy()
-        y[0] = y1
-        return MinkowskiEvent(tau, y)
+    def value(coords):
+        out = map_.value(coords)
+        out[:, 0], out[:, 1] = boost_tau_y1(out[:, 0], out[:, 1], rapidity)
+        return out
 
-    def jacobian_eval(p):
-        jac = map_.jacobian_eval(p).copy()
-        ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-        row_tau = jac[0] * ch + jac[1] * sh
-        row_y1 = jac[0] * sh + jac[1] * ch
-        jac[0], jac[1] = row_tau, row_y1
+    def jacobian(coords):
+        jac = map_.jacobian(coords)
+        jac[:, 0], jac[:, 1] = (jac[:, 0] * ch + jac[:, 1] * sh,
+                                jac[:, 0] * sh + jac[:, 1] * ch)
         return jac
 
-    return dataclasses.replace(
-        map_, value_eval=value_eval, jacobian_eval=jacobian_eval,
-        value_batch=None, jacobian_batch=None,
-    )
+    return dataclasses.replace(map_, value=value, jacobian=jacobian)

@@ -7,6 +7,49 @@ from sigembed.cli import REPORT_SCHEMA, main
 
 TWO_PI = 2.0 * np.pi
 
+# (name, grid) of every check of the quick battery, in report order
+QUICK_BATTERY = [
+    ("isometry_psi_n2_analytic", "t in [-0.99, 10] x200, x in [-5, 5] x50, n=2"),
+    ("isometry_psi_n2_finite_difference",
+     "t in [-0.99, 10] x200, x in [-5, 5] x50, n=2"),
+    ("isometry_psi_n3_analytic", "t in [-0.99, 10] x200, x in [-5, 5] x50, n=3"),
+    ("isometry_psi_n3_finite_difference",
+     "t in [-0.99, 10] x200, x in [-5, 5] x50, n=3"),
+    ("signature_sweep_n2", "t in [-5, 5] x20000, n=2"),
+    ("signature_sweep_n3", "t in [-5, 5] x20000, n=3"),
+    ("lc_regularity_on_locus", "1002 null directions on t=0, n in [2, 3, 4]"),
+    ("radical_transversality_on_locus",
+     "200 points on t=0, n in [2, 3]; fd-vs-analytic gradient"),
+    ("explicit_ode_residual", "t in [-10.0, 10.0] x200 minus (-1e-6, 1e-6)"),
+    ("inversion_roundtrip", "t in [-100.0, 100.0] x201; monotonicity included"),
+    ("asymptotic_small_t", "|t| in [0.001, 0.0001, 1e-05], both signs"),
+    ("asymptotic_large_negative", "t = -100.0 against (2/3)|t|^(3/2) sgn t"),
+    ("quotient_isometry", "200 seeded events in the half-space, N=3"),
+    ("boost_identification",
+     "200 seeded events; generator rapidity pi shifts phi_raw by +2 pi"),
+    ("misner_roundtrip",
+     "200 seeded quotient points, branches in [-3, -2, -1, 0, 1, 2, 3]; "
+     "base sheet at tol, other sheets at conditioning bound"),
+    ("tangency_floor", "t in [-0.99, 10] x500; regression floor 0.45"),
+    ("orbit_intersection_counts", "12 on-image bases, s in [-20, 20] x2001"),
+    ("composed_images_distinct", "100 x 100 composed images, shift 1"),
+    ("pullback_functoriality_explicit",
+     "25 seeded points, composition vs staged vs source (explicit)"),
+    ("pullback_functoriality_psi_toy",
+     "25 seeded points, composition vs staged vs source (psi_toy)"),
+    ("bulk_lorentzian_brane_signature_change",
+     "t in [-3, 3] x121, composed with shift 1"),
+    ("region_membership_explicit", "t in [-3.0, 3.0] x61"),
+]
+
+# (name, grid) of every user-model check for a dimension-2 model file
+USER_CHECKS_N2 = [
+    ("slice_positive_definite", "200 seeded points, t in [-3, 3]"),
+    ("user_signature_sweep", "t in [-3, 3] x2001, n=2"),
+    ("user_lc_regularity", "200 null directions on t=0, n=2"),
+    ("user_radical_transversality", "100 seeded points on t=0, n=2"),
+]
+
 
 def run_cli(args):
     return main(args)
@@ -134,6 +177,7 @@ def test_verify_report_schema_and_exit(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert "isometry_psi_n2_analytic" in names
     assert "quotient_isometry" in names
+    assert [(c["name"], c["grid"]) for c in report["checks"]] == QUICK_BATTERY
 
 
 def test_verify_perturbed_fixture_fails(tmp_path, capsys):
@@ -161,6 +205,27 @@ def test_verify_user_model_file(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert "slice_positive_definite" in names
     assert all(c["pass"] for c in report["checks"])
+    assert [(c["name"], c["grid"]) for c in report["checks"]] == USER_CHECKS_N2
+
+
+def test_verify_user_model_file_indefinite_slices(tmp_path, capsys):
+    # 1 - 2 x1^2 < 0 for |x1| > 1/sqrt2: the slices fail there, while the
+    # signature sweep (x1 = 0.5) and the locus checks still hold
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({
+        "dimension": 2,
+        "spatial_block": [["1 - 2*x1^2"]],
+    }))
+    out = tmp_path / "report.json"
+    assert run_cli([
+        "verify", "--model-file", str(model_path), "--output", str(out),
+    ]) == 1
+    report = json.loads(out.read_text())
+    assert [(c["name"], c["grid"]) for c in report["checks"]] == USER_CHECKS_N2
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+        "slice_positive_definite"]
+    assert report["checks"][0]["max_residual"] == 119.0
+    assert "slice_positive_definite" in capsys.readouterr().err
 
 
 def test_env_tolerance_override(tmp_path, monkeypatch):

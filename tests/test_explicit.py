@@ -81,6 +81,14 @@ def test_t_of_theta_roundtrip(cfg):
     assert t_of_theta(0.0) == 0.0
 
 
+def test_t_of_theta_tiny_theta():
+    # t = 2^(5/6) theta (1 + O(theta)) near 0; the closed form must neither
+    # lose digits to I ~ theta^(3/2) nor underflow to 0
+    for theta in [1e-215, -1e-215, 1e-216, -1e-216, 1e-300]:
+        assert t_of_theta(theta) == pytest.approx(2.0 ** (5.0 / 6.0) * theta,
+                                                  rel=1e-13, abs=0.0)
+
+
 def test_t_of_theta_large_negative_consistency(cfg):
     # far down the branch the integrand is ~1, so I(theta) ~ theta
     theta = -500.0
@@ -187,10 +195,10 @@ def test_explicit_map_event_time_and_membership(cfg):
     map_ = explicit_embedding_map(2, HyperbolaFamily(1.0), cfg)
     for t in [-3.0, 0.0, 0.7]:
         e = map_.value_eval(ChartPoint(t, [0.4]))
-        assert map_.event_time(e) == pytest.approx(t, abs=1e-9)
-        assert abs(map_.on_image_residual(e)) <= 1e-12
+        assert map_.event_time(e.batch())[0] == pytest.approx(t, abs=1e-9)
+        assert abs(map_.on_image_residual(e.batch())[0]) <= 1e-12
     off_image = type(e)(e.tau, e.y + np.array([0.5, 0.0]))
-    assert abs(map_.on_image_residual(off_image)) > 0.1
+    assert abs(map_.on_image_residual(off_image.batch())[0]) > 0.1
 
 
 def test_embed_explicit_grid_matches_pointwise(cfg):
@@ -211,8 +219,7 @@ def test_family_validation():
 
 
 def test_explicit_isometry_grid_analytic_fallback(cfg):
-    # the explicit map has no batched analytic Jacobian; the grid sweep
-    # must fall back to the pointwise path rather than refuse
+    # the grid sweep takes the explicit map's analytic Jacobian on arrays
     from sigembed import isometry_residual_grid
 
     model = toy_model(2)

@@ -25,20 +25,23 @@ def test_eval_metric_canonical_values():
 
 
 def test_eval_metric_rejects_non_finite_with_index():
-    def component_eval(p):
-        g = np.eye(2)
-        g[0, 1] = g[1, 0] = np.nan
+    def components(coords):
+        g = np.broadcast_to(np.eye(2), (len(coords), 2, 2)).copy()
+        g[:, 0, 1] = g[:, 1, 0] = np.nan
         return g
 
-    m = MetricModel(2, component_eval, lambda p: np.eye(1))
+    m = MetricModel(2, components)
     with pytest.raises(EvaluationError) as err:
         eval_metric(m, ChartPoint(0.0, [0.0]))
+    assert err.value.index == (0, 1)
+    # the grid classifier validates the same way
+    with pytest.raises(EvaluationError) as err:
+        classify_signature_grid(m, [[0.0, 0.0], [1.0, 0.0]])
     assert err.value.index == (0, 1)
 
 
 def test_eval_metric_rejects_asymmetric():
-    m = MetricModel(2, lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]),
-                    lambda p: np.eye(1))
+    m = MetricModel(2, lambda c: np.array([[[1.0, 0.5], [0.0, 1.0]]] * len(c)))
     with pytest.raises(EvaluationError):
         eval_metric(m, ChartPoint(0.0, [0.0]))
 
@@ -71,7 +74,7 @@ def test_classify_zero_band_is_relative():
 
 
 def test_classify_rejects_two_time_directions():
-    m = MetricModel(2, lambda p: np.diag([-1.0, -1.0]), lambda p: np.eye(1))
+    m = MetricModel(2, lambda c: np.array([np.diag([-1.0, -1.0])] * len(c)))
     with pytest.raises(PreconditionError):
         classify_signature(m, ChartPoint(0.0, [0.0]))
 
@@ -115,7 +118,7 @@ def test_radical_transversality_off_locus_vacuous():
 
 def test_gradient_fd_matches_analytic(cfg):
     m = toy_model(3)
-    m_fd = dataclasses.replace(m, derivative_eval=None)
+    m_fd = dataclasses.replace(m, derivatives=None)
     rng = np.random.default_rng(1)
     for _ in range(20):
         p = ChartPoint(rng.uniform(-2, 2), rng.uniform(-2, 2, size=2))
@@ -126,7 +129,7 @@ def test_gradient_fd_matches_analytic(cfg):
 
 def test_metric_derivatives_fd_fallback(cfg):
     m = toy_model(2)
-    m_fd = dataclasses.replace(m, derivative_eval=None)
+    m_fd = dataclasses.replace(m, derivatives=None)
     p = ChartPoint(1.3, [0.4])
     np.testing.assert_allclose(
         metric_derivatives(m_fd, p, cfg), metric_derivatives(m, p),
@@ -179,14 +182,13 @@ def test_slice_metric_identity_and_user_blocks():
 
     user = MetricModel(
         3,
-        lambda p: np.diag([-p.t, 1 + p.t**2, 1.0]),
-        lambda p: np.diag([1 + p.t**2, 1.0]),
+        lambda c: np.array([np.diag([-t, 1 + t**2, 1.0]) for t in c[:, 0]]),
     )
     block, pd = slice_metric(user, 2.0, [0.0, 0.0])
     np.testing.assert_allclose(block, np.diag([5.0, 1.0]))
     assert pd
 
-    bad = MetricModel(2, lambda p: np.diag([-p.t, -1.0]), lambda p: -np.eye(1))
+    bad = MetricModel(2, lambda c: np.array([np.diag([-t, -1.0]) for t in c[:, 0]]))
     _, pd = slice_metric(bad, 1.0, [0.0])
     assert not pd
 

@@ -3,8 +3,8 @@ import pytest
 
 from sigembed import (ChartPoint, DomainError, ImmersionError,
                       PreconditionError, isometry_residual,
-                      isometry_residual_grid, psi_toy, psi_toy_map, pullback,
-                      temporal_f, toy_model)
+                      isometry_residual_grid, map_jacobian, psi_toy,
+                      psi_toy_map, pullback, temporal_f, toy_model)
 from sigembed.minkowski import EmbeddingMap, MinkowskiEvent, fd_jacobian
 from sigembed.verify import perturbed_psi_map
 
@@ -49,7 +49,7 @@ def test_psi_toy_injective_on_grid():
     xs = np.linspace(-2, 2, 25)
     tt, xx = np.meshgrid(ts, xs)
     coords = np.column_stack([tt.ravel(), xx.ravel()])
-    images = m.value_batch(coords)
+    images = m.value(coords)
     assert np.unique(images, axis=0).shape[0] == images.shape[0]
 
 
@@ -82,18 +82,23 @@ def test_pullback_modes_agree(cfg):
 
 def test_pullback_rank_deficiency_reported():
     # collapse the embedding along x so the Jacobian loses a column
-    def value_eval(p):
-        return MinkowskiEvent(p.t, [p.t, 0.0])
+    def value(coords):
+        return np.column_stack([coords[:, 0], coords[:, 0], np.zeros(len(coords))])
 
-    degenerate = EmbeddingMap(2, 3, value_eval, domain_check=None)
+    degenerate = EmbeddingMap(2, 3, value)
     with pytest.raises(ImmersionError) as err:
         pullback(degenerate, None, ChartPoint(1.0, [0.0]),
                  "finite_difference")
     assert err.value.rank == 1
+    # the grid sweep makes the same rank test
+    with pytest.raises(ImmersionError) as err:
+        isometry_residual_grid(degenerate, toy_model(2),
+                               [[1.0, 0.0], [2.0, 0.5]], "finite_difference")
+    assert err.value.rank == 1
 
 
 def test_pullback_requires_analytic_jacobian_when_asked():
-    m = EmbeddingMap(2, 3, lambda p: MinkowskiEvent(p.t, [p.t, p.spatial[0]]))
+    m = EmbeddingMap(2, 3, lambda c: np.column_stack([c[:, 0], c[:, 0], c[:, 1]]))
     with pytest.raises(PreconditionError):
         pullback(m, None, ChartPoint(1.0, [0.0]), "analytic")
 
@@ -101,7 +106,7 @@ def test_pullback_requires_analytic_jacobian_when_asked():
 def test_psi_jacobian_full_rank_near_boundary():
     map_ = psi_toy_map(2)
     for t in [-0.999999, -0.9, 0.0, 10.0]:
-        jac = map_.jacobian_eval(ChartPoint(t, [0.0]))
+        jac = map_jacobian(map_, ChartPoint(t, [0.0]))
         assert np.linalg.matrix_rank(jac) == 2
 
 
@@ -120,6 +125,9 @@ def test_isometry_residual_grid_and_pointwise_agree(cfg):
     )
     assert grid_worst <= 1e-6
     assert point_worst <= grid_worst + 1e-12
+    # a model of another dimension is refused, not broadcast
+    with pytest.raises(PreconditionError):
+        isometry_residual_grid(map_, toy_model(3), coords, "finite_difference", cfg)
 
 
 def test_perturbed_map_residual_detects_non_isometry():
@@ -135,7 +143,7 @@ def test_fd_jacobian_of_psi_matches_analytic(cfg):
     map_ = psi_toy_map(2)
     p = ChartPoint(2.0, [1.5])
     np.testing.assert_allclose(
-        fd_jacobian(map_, p, cfg), map_.jacobian_eval(p), atol=1e-8
+        fd_jacobian(map_, p, cfg), map_jacobian(map_, p), atol=1e-8
     )
 
 

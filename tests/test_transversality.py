@@ -43,13 +43,13 @@ def test_tangency_residual_positive_for_psi():
 
 def test_tangency_residual_origin_error():
     # an embedding whose image hits the boost fixed point
-    def value_eval(p):
-        return MinkowskiEvent(p.t, [p.t, p.spatial[0]])
+    def value(coords):
+        return np.column_stack([coords[:, 0], coords[:, 0], coords[:, 1]])
 
     from sigembed.minkowski import EmbeddingMap
 
-    map_ = EmbeddingMap(2, 3, value_eval,
-                        lambda p: np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
+    map_ = EmbeddingMap(2, 3, value,
+                        lambda c: np.array([[[1.0, 0], [1.0, 0], [0, 1.0]]] * len(c)))
     with pytest.raises(PreconditionError):
         tangency_residual(map_, ChartPoint(0.0, [0.0]))
 
@@ -63,15 +63,15 @@ def test_tangency_residual_synthetic_tangent_map():
 def test_tangency_rank_hypothesis_warning():
     # all spatial tangents along the first spatial axis: the test cannot
     # certify transversality and must say so
-    def value_eval(p):
-        return MinkowskiEvent(p.t, [p.spatial[0], 0.0])
+    def value(coords):
+        return np.column_stack([coords[:, 0], coords[:, 1], np.zeros(len(coords))])
 
-    def jacobian_eval(p):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    def jacobian(coords):
+        return np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]] * len(coords))
 
     from sigembed.minkowski import EmbeddingMap
 
-    map_ = EmbeddingMap(2, 3, value_eval, jacobian_eval)
+    map_ = EmbeddingMap(2, 3, value, jacobian)
     with pytest.warns(UserWarning, match="first spatial axis"):
         tangency_residual(map_, ChartPoint(1.0, [2.0]))
 
@@ -161,8 +161,8 @@ def test_orbit_count_explicit(cfg):
 def test_orbit_requires_capability(cfg):
     from sigembed.minkowski import EmbeddingMap
 
-    bare = EmbeddingMap(2, 3, lambda p: MinkowskiEvent(p.t, [p.t + 1.0,
-                                                             p.spatial[0]]))
+    bare = EmbeddingMap(2, 3, lambda c: np.column_stack([c[:, 0], c[:, 0] + 1.0,
+                                                         c[:, 1]]))
     with pytest.raises(CapabilityError):
         orbit_intersection_count(bare, MinkowskiEvent(0.0, [1.0, 0.0]),
                                  (-1, 1), 11, cfg)
