@@ -26,9 +26,8 @@ from .explicit import (HyperbolaFamily, arc_integral, asymptotic_theta,
                        explicit_embedding_map, hyperbola_xi, ode_residual,
                        t_of_theta, theta_of_t, theta_of_t_grid, THETA_POLE)
 from .misner import (BoostSpec, MisnerEvent, boost, compose_embedding,
-                     from_misner, in_region_R, misner_metric,
-                     quotient_isometry_residual, source_embedding_map,
-                     to_misner)
+                     from_misner, misner_metric, quotient_isometry_residual,
+                     source_embedding_map, to_misner)
 from .transversality import (OrbitProfile, OrbitSample, killing_at,
                              orbit_intersection_count, orbit_time_profile,
                              tangency_obstruction_det, tangency_residual,

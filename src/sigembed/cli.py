@@ -9,7 +9,8 @@ Three subcommands:
 Outputs are byte-stable for a fixed configuration: floats are written with
 17 significant digits, lines end with LF, and all sampling is seeded.  The
 verify report carries a wall-clock ``timing_ms`` field and is exempt.
-Exit codes: 0 success, 1 verification or domain failure, 2 usage error.
+Exit codes: 0 success, 1 verification or domain failure, 2 usage error
+(an unknown or malformed argument, or a numeric argument out of its range).
 """
 
 import argparse
@@ -69,22 +70,9 @@ class RunConfig:
     format: str = "csv"
 
     def as_dict(self):
-        cfg = self.tolerances or NumericConfig()
-        return {
-            "command": self.command,
-            "model": self.model,
-            "n": self.n,
-            "t_range": list(self.t_range),
-            "x_fixed": list(self.x_fixed),
-            "shift": self.shift,
-            "tolerances": dataclasses.asdict(cfg),
-            "output_path": self.output_path,
-            "format": self.format,
-        }
-
-
-def _fmt(value):
-    return "%.17g" % float(value)
+        """The fields in declaration order, tolerances defaulted."""
+        return dataclasses.asdict(dataclasses.replace(
+            self, tolerances=self.tolerances or NumericConfig()))
 
 
 def _write_text(path, text):
@@ -96,17 +84,20 @@ def _write_text(path, text):
 
 
 def _emit_table(columns, rows, run_cfg):
+    """Write an (m, len(columns)) float table as CSV or JSON."""
+    rows = np.asarray(rows, dtype=float)
     if run_cfg.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_text(run_cfg.output_path, "\n".join(lines) + "\n")
+        # one %-format over the whole table: each value as "%.17g" % float
+        row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+        body = (row_format * len(rows)) % tuple(rows.ravel().tolist())
+        _write_text(run_cfg.output_path, ",".join(columns) + "\n" + body)
     else:
         payload = {
             "schema": "1",
             "command": run_cfg.command,
             "config": run_cfg.as_dict(),
             "columns": list(columns),
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": rows.tolist(),
         }
         _write_text(run_cfg.output_path, json.dumps(payload, indent=2) + "\n")
 
@@ -121,28 +112,32 @@ def _parse_t_range(text, parser):
         parser.error(f"--t-range must be lo:hi:count with numeric fields, got {text!r}")
     if count < 2:
         parser.error(f"--t-range count must be >= 2, got {count}")
-    if not lo < hi:
-        parser.error(f"--t-range requires lo < hi, got lo={lo} hi={hi}")
+    if not (lo < hi and np.isfinite([lo, hi]).all()):
+        parser.error(f"--t-range requires finite lo < hi, got lo={lo} hi={hi}")
     return lo, hi, count
+
+
+def _parse_numbers(text, flag, parser):
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        parser.error(f"{flag} must be comma-separated numbers, got {text!r}")
+    if not np.isfinite(values).all():
+        parser.error(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_x_fixed(text, n, parser):
     if not text:
         return tuple(0.0 for _ in range(n - 1))
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        parser.error(f"--x-fixed must be comma-separated numbers, got {text!r}")
+    values = _parse_numbers(text, "--x-fixed", parser)
     if len(values) != n - 1:
         parser.error(f"--x-fixed needs {n - 1} values for n={n}, got {len(values)}")
     return values
 
 
 def _parse_event(text, parser):
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        parser.error(f"--orbit-event must be comma-separated numbers, got {text!r}")
+    values = _parse_numbers(text, "--orbit-event", parser)
     if len(values) < 2:
         parser.error("--orbit-event needs at least tau,y1")
     return MinkowskiEvent(values[0], values[1:])
@@ -157,10 +152,9 @@ def _chart_grid(t_range, x_fixed):
 
 def _numeric_config(args):
     cfg = NumericConfig.from_env()
-    overrides = {}
-    if getattr(args, "root_tol", None) is not None:
-        overrides["root_tol"] = args.root_tol
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    if args.root_tol is None:
+        return cfg
+    return dataclasses.replace(cfg, root_tol=args.root_tol)
 
 
 def cmd_embed(args, parser):
@@ -327,11 +321,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (args.root_tol is None or 0.0 < args.root_tol < np.inf):
+        parser.error(f"--root-tol must be positive and finite, got {args.root_tol}")
     if args.command in ("embed", "misner"):
+        if args.n < 2:
+            parser.error(f"--n must be >= 2, got {args.n}")
+        if not 0.0 <= args.shift < np.inf:
+            parser.error(f"--shift must be finite and >= 0, got {args.shift}")
         args.t_range = _parse_t_range(args.t_range, parser)
         args.x_fixed = _parse_x_fixed(args.x_fixed, args.n, parser)
-    if args.command == "misner" and args.orbit_event is not None:
-        args.orbit_event = _parse_event(args.orbit_event, parser)
+    if args.command == "misner":
+        if args.kmax < 0:
+            parser.error(f"--kmax must be >= 0, got {args.kmax}")
+        if args.orbit_event is not None:
+            args.orbit_event = _parse_event(args.orbit_event, parser)
+    if args.command == "verify" and not np.isfinite(args.perturb_scale):
+        parser.error(f"--perturb-scale must be finite, got {args.perturb_scale}")
     try:
         if args.command == "embed":
             return cmd_embed(args, parser)

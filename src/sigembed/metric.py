@@ -80,7 +80,8 @@ class MetricModel:
     ``derivatives``, when supplied, returns the coordinate derivatives as
     an (m, n, n, n) array indexed [point, kappa, mu, nu]; otherwise central
     finite differences are used wherever derivatives are needed.  Both
-    evaluators must be pure.
+    evaluators must be pure and row-wise (row i of the output depends on
+    row i of the coordinates alone).
     """
 
     dimension: int

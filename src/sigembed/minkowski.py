@@ -63,14 +63,15 @@ def minkowski_eta(dim):
 class EmbeddingMap:
     """A map from chart coordinates into Minkowski space, on arrays.
 
-    ``value`` maps (m, n) coordinates to (m, N) event coordinates and
-    raises DomainError outside the embedding domain.  ``jacobian`` maps
-    (m, n) coordinates to the analytic (m, N, n) Jacobians when available;
-    finite differences of ``value`` are used otherwise.  The optional
-    ``event_time`` / ``on_image_residual`` pair enables orbit-intersection
-    machinery: both map (m, N) events to (m,) values, nan where undefined;
-    the first recovers the source time coordinate of the natural preimage
-    of an ambient event, the second vanishes exactly on the image.
+    ``value`` maps (m, n) coordinates to (m, N) event coordinates, row by
+    row, and raises DomainError outside the embedding domain.  ``jacobian``
+    maps (m, n) coordinates to the analytic (m, N, n) Jacobians when
+    available; finite differences of ``value`` are used otherwise.  The
+    optional ``event_time`` / ``on_image_residual`` pair enables
+    orbit-intersection machinery: both map (m, N) events to (m,) values,
+    nan where undefined; the first recovers the source time coordinate of
+    the natural preimage of an ambient event, the second vanishes exactly
+    on the image.
     """
 
     source_dim: int

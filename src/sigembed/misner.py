@@ -99,28 +99,17 @@ def require_region(tau, y1):
     """u = y1 - tau for scalar or array (tau, y1) inside the
     quotient-admissible half-space u > 0; RegionError (carrying the pair
     and its flat index) at the first pair outside it."""
-    tau, y1 = np.broadcast_arrays(np.asarray(tau, dtype=float),
-                                  np.asarray(y1, dtype=float))
-    u = y1 - tau
-    outside = ~(u > 0.0)
-    if outside.any():
-        k = int(np.argmax(outside.ravel()))
-        bad_tau, bad_y1 = float(tau.ravel()[k]), float(y1.ravel()[k])
+    u = np.subtract(y1, tau, dtype=float)
+    if not (u > 0.0).all():
+        k = int(np.argmax(np.ravel(~(u > 0.0))))
+        bad_tau, bad_y1 = (float(np.broadcast_to(a, np.shape(u)).flat[k])
+                           for a in (tau, y1))
         raise RegionError(
             f"event outside the half-space y1 - tau > 0: "
             f"tau = {bad_tau}, y1 = {bad_y1}",
             tau=bad_tau, y1=bad_y1, index=k,
         )
     return u
-
-
-def in_region_R(e):
-    """True iff the event lies in the quotient-admissible half-space."""
-    try:
-        require_region(e.tau, e.y[0])
-    except RegionError:
-        return False
-    return True
 
 
 def quotient_map_coords(events):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sigembed.cli import REPORT_SCHEMA, main
+from sigembed.cli import REPORT_SCHEMA, RunConfig, _emit_table, main
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,6 +96,50 @@ def test_embed_usage_error_names_flag(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--t-range" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["embed", "--n", "1"], "--n"),
+    (["misner", "--n", "1"], "--n"),
+    (["embed", "--shift", "-1"], "--shift"),
+    (["embed", "--shift", "nan"], "--shift"),
+    (["embed", "--root-tol", "-1"], "--root-tol"),
+    (["embed", "--t-range", "0:inf:3"], "--t-range"),
+    (["embed", "--x-fixed", "nan"], "--x-fixed"),
+    (["misner", "--orbit-event", "0,2,nan"], "--orbit-event"),
+    (["misner", "--orbit-event", "0,2", "--kmax", "-1"], "--kmax"),
+    (["verify", "--perturb-scale", "nan"], "--perturb-scale"),
+])
+def test_out_of_range_argument_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_table_matches_per_value_format(tmp_path, fmt):
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+               1.7976931348623157e308]
+    k = np.arange(-3, 4)  # integer-valued column, stacked as float
+    rows = np.column_stack([k, special, np.linspace(-1.0, 1.0, 7) / 3.0])
+    columns = ["k", "v", "w"]
+    out = tmp_path / f"table.{fmt}"
+    run_cfg = RunConfig(command="embed", output_path=str(out), format=fmt)
+    _emit_table(columns, rows, run_cfg)
+    if fmt == "csv":
+        want = ",".join(columns) + "\n" + "".join(
+            ",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
+    else:
+        payload = {"schema": "1", "command": "embed", "config": run_cfg.as_dict(),
+                   "columns": columns,
+                   "rows": [[float(v) for v in row] for row in rows]}
+        want = json.dumps(payload, indent=2) + "\n"
+    data = out.read_bytes()
+    assert data == want.encode("utf-8")
+    assert b"\r" not in data and data.endswith(b"\n")
 
 
 def test_embed_byte_stable(tmp_path):

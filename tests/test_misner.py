@@ -3,9 +3,9 @@ import pytest
 
 from sigembed import (BoostSpec, ChartPoint, MinkowskiEvent,
                       MisnerEvent, RegionError, boost, compose_embedding,
-                      from_misner, in_region_R, misner_metric,
+                      from_misner, misner_metric,
                       quotient_isometry_residual, to_misner)
-from sigembed.misner import TWO_PI, boost_tau_y1
+from sigembed.misner import TWO_PI, boost_tau_y1, require_region
 
 E = np.e
 PI = np.pi
@@ -44,9 +44,12 @@ def test_boost_spec_validation():
 
 
 def test_in_region_examples():
-    assert in_region_R(MinkowskiEvent(0.0, [1.0]))
-    assert not in_region_R(MinkowskiEvent(1.0, [0.0]))
-    assert not in_region_R(MinkowskiEvent(0.0, [0.0]))  # origin excluded
+    inside = MinkowskiEvent(0.0, [1.0])
+    assert require_region(inside.tau, inside.y[0]) == 1.0
+    # the origin is excluded: the half-space is strict
+    for e in (MinkowskiEvent(1.0, [0.0]), MinkowskiEvent(0.0, [0.0])):
+        with pytest.raises(RegionError):
+            require_region(e.tau, e.y[0])
 
 
 def test_to_misner_values():
