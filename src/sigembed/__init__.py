@@ -17,20 +17,17 @@ from .metric import (ChartPoint, MetricModel, SignatureClass, SignatureReport,
                      classify_signature, classify_signature_grid, eval_metric,
                      lc_regularity_at, metric_derivatives,
                      radical_transversality, slice_metric, toy_model)
-from .minkowski import (EmbeddingMap, MinkowskiEvent, fd_jacobian,
-                        isometry_residual, isometry_residual_grid,
-                        map_jacobian, minkowski_eta, psi_toy, psi_toy_map,
-                        pullback, temporal_f)
+from .minkowski import (EmbeddingMap, MinkowskiEvent, isometry_residual,
+                        isometry_residual_grid, map_jacobian, minkowski_eta,
+                        psi_toy, psi_toy_map, pullback, temporal_f)
 from .explicit import (HyperbolaFamily, arc_integral, asymptotic_theta,
                        embed_explicit, embed_explicit_grid,
                        explicit_embedding_map, hyperbola_xi, ode_residual,
                        t_of_theta, theta_of_t, theta_of_t_grid, THETA_POLE)
-from .misner import (BoostSpec, MisnerEvent, boost, compose_embedding,
-                     from_misner, misner_metric, quotient_isometry_residual,
+from .misner import (MisnerEvent, compose_embedding, from_misner,
+                     misner_metric, quotient_isometry_residual,
                      source_embedding_map, to_misner)
-from .transversality import (OrbitProfile, OrbitSample, killing_at,
-                             orbit_intersection_count, orbit_time_profile,
-                             tangency_obstruction_det, tangency_residual,
+from .transversality import (orbit_intersection_count, tangency_residual,
                              toy_tangency_poly)
 from .modelfile import load_model, model_from_dict
 

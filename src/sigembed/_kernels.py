@@ -176,15 +176,3 @@ def theta_root_batch(ts, cfg):
     if not near.all():
         thetas[~near], status[~near] = _theta_far(ts[~near], cfg)
     return thetas, status
-
-
-def arc_integral_raw(theta, cfg=None):
-    """(value, status) of one theta: a batch of one."""
-    values, status = arc_integral_batch(np.array([theta], dtype=np.float64), cfg)
-    return float(values[0]), int(status[0])
-
-
-def theta_root_raw(t, cfg):
-    """(theta, status) of one t: a batch of one."""
-    thetas, status = theta_root_batch(np.array([t], dtype=np.float64), cfg)
-    return float(thetas[0]), int(status[0])

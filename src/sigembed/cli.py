@@ -26,7 +26,7 @@ from .config import NumericConfig
 from .errors import RegionError, SigembedError
 from .explicit import HyperbolaFamily, explicit_embedding_map
 from .minkowski import MinkowskiEvent, psi_toy_map
-from .misner import (TWO_PI, BoostSpec, boost_tau_y1, canonical_phi,
+from .misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1, canonical_phi,
                      quotient_map_coords, source_embedding_map, to_misner)
 from .modelfile import load_model
 from .verify import run_all, run_user_model
@@ -151,10 +151,9 @@ def _chart_grid(t_range, x_fixed):
 
 
 def _numeric_config(args):
-    cfg = NumericConfig.from_env()
     if args.root_tol is None:
-        return cfg
-    return dataclasses.replace(cfg, root_tol=args.root_tol)
+        return NumericConfig()
+    return NumericConfig(root_tol=args.root_tol)
 
 
 def cmd_embed(args, parser):
@@ -207,7 +206,7 @@ def cmd_misner(args, parser):
             )
             return 1
         powers = np.arange(-args.kmax, args.kmax + 1)
-        rapidity = BoostSpec().rapidity * powers
+        rapidity = GENERATOR_RAPIDITY * powers
         tau, y1 = boost_tau_y1(event.tau, float(event.y[0]), rapidity)
         _emit_table(["k", "tau", "y1", "T", "phi_raw"],
                     np.column_stack([powers, tau, y1, np.full(powers.size, base.T),

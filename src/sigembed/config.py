@@ -1,16 +1,12 @@
 """Numeric settings shared by the root-finding and FD layers."""
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # Optimal central-difference step for first derivatives, scaled per
 # coordinate as fd_step * max(1, |x|).
 DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
-# Environment variable that overrides the default root_tol.
-TOL_ENV_VAR = "SIGEMBED_TOL"
 
 
 @dataclass(frozen=True)
@@ -28,19 +24,6 @@ class NumericConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-    @classmethod
-    def from_env(cls):
-        """Default config, honouring the SIGEMBED_TOL override when set."""
-        cfg = cls()
-        raw = os.environ.get(TOL_ENV_VAR)
-        if raw is None:
-            return cfg
-        try:
-            tol = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-        return replace(cfg, root_tol=tol)
 
 
 def fd_steps(coords, base_step):

@@ -128,8 +128,8 @@ def theta_of_t_grid(ts, cfg=None):
 
 
 def asymptotic_theta(t):
-    """Closed-form approximations (small regime, large-negative regime)."""
-    t = float(t)
+    """Closed-form approximations (small regime, large-negative regime),
+    for scalar or array t."""
     return t * SEED_SLOPE, (2.0 / 3.0) * abs(t) ** 1.5 * np.sign(t)
 
 

@@ -173,11 +173,6 @@ def map_jacobian(map_, p, mode="analytic", cfg=None):
     return jacobian_grid(map_, p.batch(), mode, cfg)[0]
 
 
-def fd_jacobian(map_, p, cfg=None):
-    """Central-difference Jacobian of the map's value at p."""
-    return map_jacobian(map_, p, "finite_difference", cfg)
-
-
 def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
     """Pullbacks J^T eta J of the flat metric over an (m, n) coordinate
     array, as (m, n, n).

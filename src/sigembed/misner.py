@@ -27,6 +27,9 @@ from .explicit import HyperbolaFamily, explicit_embedding_map
 
 TWO_PI = 2.0 * math.pi
 
+# Rapidity of the generator of the boost group; it shifts phi_raw by TWO_PI.
+GENERATOR_RAPIDITY = math.pi
+
 # Sign of the angular coordinate, fixed against the metric above by the
 # quotient-isometry oracle: with g_Tphi = -1, only phi = -2 ln(u/2) pulls
 # the quotient metric back to diag(-1, +1, ...).
@@ -64,35 +67,11 @@ class MisnerEvent:
         return int(round((self.phi_raw - self.phi) / TWO_PI))
 
 
-@dataclass(frozen=True)
-class BoostSpec:
-    """Group element: rapidity of the generator and its integer power."""
-
-    rapidity: float = math.pi
-    power: int = 1
-
-    def __post_init__(self):
-        if self.rapidity == 0.0:
-            raise ValueError("generator rapidity must be nonzero")
-
-    @property
-    def total_rapidity(self):
-        return self.rapidity * self.power
-
-
 def boost_tau_y1(tau, y1, s):
     """Hyperbolic rotation of rapidity s in the (tau, y1) plane."""
     ch = np.cosh(s)
     sh = np.sinh(s)
     return tau * ch + y1 * sh, tau * sh + y1 * ch
-
-
-def boost(e, spec=BoostSpec()):
-    """Apply the group element to an event; spectators are untouched."""
-    tau, y1 = boost_tau_y1(e.tau, e.y[0], spec.total_rapidity)
-    y = e.y.copy()
-    y[0] = y1
-    return MinkowskiEvent(tau, y)
 
 
 def require_region(tau, y1):

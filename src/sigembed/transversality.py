@@ -10,12 +10,11 @@ image-membership residual along the boost parameter.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, PreconditionError
-from .minkowski import MinkowskiEvent, jacobian_grid, map_jacobian
+from .minkowski import jacobian_grid
 from .misner import boost_tau_y1, require_region
 
 # An orbit point counts as on-image when the membership residual refines
@@ -23,34 +22,9 @@ from .misner import boost_tau_y1, require_region
 MEMBERSHIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OrbitSample:
-    """One scan node: boost parameter, boosted event and, when the event
-    lies on the image within tolerance, the source time of its preimage."""
-
-    s: float
-    event: MinkowskiEvent
-    t_value: float = None
-
-
-@dataclass(frozen=True)
-class OrbitProfile:
-    """Scan result: samples, refined intersections (s, t) and the
-    monotonicity classification of the preimage-time profile."""
-
-    samples: tuple
-    intersections: tuple
-    classification: str
-    extremum_s: float = None
-
-
-def killing_at(e):
-    """Boost generator at an event: tau-component y1, y1-component tau,
-    zero on spectators.  Vanishes only at the fixed point tau = y1 = 0."""
-    return _killing(e.batch())[0]
-
-
 def _killing(events):
+    """Boost generator at (m, N) events: tau-component y1, y1-component
+    tau, zero on spectators.  Vanishes only at the fixed point tau = y1 = 0."""
     k = np.zeros_like(events)
     k[:, 0] = events[:, 1]
     k[:, 1] = events[:, 0]
@@ -96,28 +70,11 @@ def tangency_residual(map_, p, mode="analytic", cfg=None):
     return float(tangency_residual_grid(map_, p.batch(), mode, cfg)[0])
 
 
-def tangency_obstruction_det(map_, p, mode="analytic", cfg=None):
-    """|det([J | K])| for codimension-one embeddings.
-
-    Vanishes exactly at tangency and, unlike the euclidean least-squares
-    defect, is invariant under boosts of the ambient frame (unit
-    determinant), so it is the quantity compared across frames.
-    """
-    if map_.target_dim != map_.source_dim + 1:
-        raise CapabilityError(
-            "determinant obstruction requires target dimension = source + 1"
-        )
-    event = map_.value_eval(p)
-    jac = map_jacobian(map_, p, mode, cfg)
-    k = killing_at(event)
-    return float(abs(np.linalg.det(np.column_stack([jac, k]))))
-
-
 def toy_tangency_poly(t):
     """(2 t^2 + t + 2, discriminant -15): the closed-form obstruction whose
     vanishing would make the boost generator tangent to the canonical-model
-    image; the negative discriminant means it never vanishes."""
-    t = float(t)
+    image; the negative discriminant means it never vanishes.  t may be a
+    scalar or an array."""
     return 2.0 * t * t + t + 2.0, -15.0
 
 
@@ -159,14 +116,6 @@ def _refine_root(map_, base, s_lo, s_hi, r_lo, iters=100):
     return 0.5 * (s_lo + s_hi)
 
 
-def _scan(map_, base, s_range, samples):
-    """Rapidity grid, orbit events and membership residuals of one scan."""
-    _require_orbit_capable(map_, base)
-    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), int(samples))
-    events = _orbit_events(base, s_grid)
-    return s_grid, events, np.asarray(map_.on_image_residual(events), dtype=float)
-
-
 def _scan_intersections(map_, base, s_grid, residuals):
     ds = s_grid[1] - s_grid[0]
     finite = np.isfinite(residuals)
@@ -191,62 +140,20 @@ def _scan_intersections(map_, base, s_grid, residuals):
     return merged
 
 
-def _classify_profile(s_grid, times):
-    finite = np.isfinite(times)
-    pairs = finite[:-1] & finite[1:]
-    if not pairs.any():
-        return "undetermined", None
-    diffs = (times[1:] - times[:-1])[pairs]
-    scale = max(1.0, float(np.nanmax(np.abs(times[finite]))))
-    tol = 1e-10 * scale
-    increasing = bool(np.any(diffs > tol))
-    decreasing = bool(np.any(diffs < -tol))
-    if increasing and decreasing:
-        flips = np.nonzero(pairs)[0]
-        signs = np.sign(diffs)
-        change = np.nonzero(signs[:-1] != signs[1:])[0]
-        idx = flips[change[0] + 1] if change.size else flips[0]
-        return "interior_extremum", float(s_grid[idx])
-    if increasing or decreasing:
-        return "strictly_monotone", None
-    # flat profile: the preimage time is stationary all along the orbit
-    mid = len(s_grid) // 2
-    return "interior_extremum", float(s_grid[mid])
-
-
-def orbit_time_profile(map_, base, s_range=(-20.0, 20.0), samples=801, cfg=None):
-    """Scan the boost orbit through ``base``: membership residual roots and
-    the preimage-time profile with its monotonicity classification.
+def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
+                             cfg=None):
+    """Number of isolated boost parameters at which the orbit through
+    ``base`` lies on the embedded image, from a scan of ``samples`` >= 2
+    rapidities over ``s_range``.
 
     The base must lie in the half-space y1 - tau > 0 (orbits preserve it);
     the map must expose membership and preimage-time evaluators.
     """
-    s_grid, events, residuals = _scan(map_, base, s_range, samples)
+    samples = int(samples)
     if samples < 2:
         raise PreconditionError(f"samples must be >= 2, got {samples}")
-    times = np.asarray(map_.event_time(events), dtype=float)
-
-    on_image = np.isfinite(residuals) & (np.abs(residuals) <= MEMBERSHIP_TOL)
-    sample_list = tuple(
-        OrbitSample(s=float(s), event=MinkowskiEvent.from_coords(e),
-                    t_value=float(tv) if hit and np.isfinite(tv) else None)
-        for s, e, tv, hit in zip(s_grid, events, times, on_image)
-    )
-    roots = np.array(_scan_intersections(map_, base, s_grid, residuals))
-    intersections = tuple(
-        zip(roots.tolist(), map_.event_time(_orbit_events(base, roots)).tolist()))
-    classification, extremum_s = _classify_profile(s_grid, times)
-    return OrbitProfile(
-        samples=sample_list,
-        intersections=intersections,
-        classification=classification,
-        extremum_s=extremum_s,
-    )
-
-
-def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
-                             cfg=None):
-    """Number of isolated boost parameters at which the orbit through
-    ``base`` lies on the embedded image."""
-    s_grid, _, residuals = _scan(map_, base, s_range, samples)
+    _require_orbit_capable(map_, base)
+    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), samples)
+    residuals = np.asarray(map_.on_image_residual(_orbit_events(base, s_grid)),
+                           dtype=float)
     return len(_scan_intersections(map_, base, s_grid, residuals))

@@ -272,10 +272,9 @@ def test_verify_user_model_file_indefinite_slices(tmp_path, capsys):
     assert "slice_positive_definite" in capsys.readouterr().err
 
 
-def test_env_tolerance_override(tmp_path, monkeypatch):
+def test_root_tol_reaches_report(tmp_path):
     out = tmp_path / "report.json"
-    monkeypatch.setenv("SIGEMBED_TOL", "1e-10")
-    assert run_cli(["verify", "--output", str(out)]) == 0
+    assert run_cli(["verify", "--root-tol", "1e-10", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["config"]["tolerances"]["root_tol"] == 1e-10
 

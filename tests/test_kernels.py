@@ -139,15 +139,15 @@ def test_batch_wrappers_match_scalar():
     thetas, status = kernels.theta_root_batch(ts, CFG)
     assert (status == 0).all()
     for t, th in zip(ts, thetas):
-        single, st = kernels.theta_root_raw(t, CFG)
-        assert st == 0
-        assert th == single
+        single, st = kernels.theta_root_batch(np.array([t]), CFG)
+        assert st.tolist() == [0]
+        assert single[0] == th
     values, status = kernels.arc_integral_batch(thetas, CFG)
     assert (status == 0).all()
     for th, v in zip(thetas, values):
-        single, st = kernels.arc_integral_raw(th, CFG)
-        assert st == 0
-        assert v == single
+        single, st = kernels.arc_integral_batch(np.array([th]), CFG)
+        assert st.tolist() == [0]
+        assert single[0] == v
 
 
 def test_arc_status_marks_pole_and_non_finite():

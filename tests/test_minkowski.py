@@ -5,7 +5,7 @@ from sigembed import (ChartPoint, DomainError, ImmersionError,
                       PreconditionError, isometry_residual,
                       isometry_residual_grid, map_jacobian, psi_toy,
                       psi_toy_map, pullback, temporal_f, toy_model)
-from sigembed.minkowski import EmbeddingMap, MinkowskiEvent, fd_jacobian
+from sigembed.minkowski import EmbeddingMap, MinkowskiEvent
 from sigembed.verify import perturbed_psi_map
 
 
@@ -143,7 +143,8 @@ def test_fd_jacobian_of_psi_matches_analytic(cfg):
     map_ = psi_toy_map(2)
     p = ChartPoint(2.0, [1.5])
     np.testing.assert_allclose(
-        fd_jacobian(map_, p, cfg), map_jacobian(map_, p), atol=1e-8
+        map_jacobian(map_, p, "finite_difference", cfg), map_jacobian(map_, p),
+        atol=1e-8
     )
 
 

@@ -1,30 +1,28 @@
 import numpy as np
 import pytest
 
-from sigembed import (BoostSpec, ChartPoint, MinkowskiEvent,
-                      MisnerEvent, RegionError, boost, compose_embedding,
-                      from_misner, misner_metric,
+from sigembed import (ChartPoint, MinkowskiEvent, MisnerEvent, RegionError,
+                      compose_embedding, from_misner, misner_metric,
                       quotient_isometry_residual, to_misner)
-from sigembed.misner import TWO_PI, boost_tau_y1, require_region
+from sigembed.misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1,
+                             require_region)
 
 E = np.e
 PI = np.pi
 
 
 def test_boost_generator_values():
-    e = boost(MinkowskiEvent(0.0, [2.0, 0.0]))
+    tau, y1 = boost_tau_y1(0.0, 2.0, GENERATOR_RAPIDITY)
     np.testing.assert_allclose(
-        e.coords(), [2 * np.sinh(PI), 2 * np.cosh(PI), 0.0], rtol=1e-15
+        [tau, y1], [2 * np.sinh(PI), 2 * np.cosh(PI)], rtol=1e-15
     )
     # numeric anchor for the generator action
-    assert e.tau == pytest.approx(23.0975, abs=1e-4)
-    assert float(e.y[0]) == pytest.approx(23.1839, abs=1e-3)
+    assert tau == pytest.approx(23.0975, abs=1e-4)
+    assert y1 == pytest.approx(23.1839, abs=1e-3)
 
 
 def test_boost_identity_element():
-    e = MinkowskiEvent(1.3, [0.4, -2.0])
-    same = boost(e, BoostSpec(power=0))
-    np.testing.assert_array_equal(same.coords(), e.coords())
+    np.testing.assert_array_equal(boost_tau_y1(1.3, 0.4, 0.0), (1.3, 0.4))
 
 
 def test_boost_preserves_quadratic_form():
@@ -35,12 +33,6 @@ def test_boost_preserves_quadratic_form():
         s = rng.uniform(-2, 2)
         b_tau, b_y1 = boost_tau_y1(tau, y1, s)
         assert -b_tau**2 + b_y1**2 == pytest.approx(-tau**2 + y1**2, abs=1e-12)
-
-
-def test_boost_spec_validation():
-    with pytest.raises(ValueError):
-        BoostSpec(rapidity=0.0)
-    assert BoostSpec(rapidity=0.5, power=3).total_rapidity == pytest.approx(1.5)
 
 
 def test_in_region_examples():
@@ -143,7 +135,8 @@ def test_quotient_isometry_random_scan(cfg):
 def test_boost_shifts_phi_raw_by_one_period():
     e = MinkowskiEvent(0.3, [1.7, 0.5])
     m0 = to_misner(e)
-    m1 = to_misner(boost(e))
+    tau, y1 = boost_tau_y1(e.tau, float(e.y[0]), GENERATOR_RAPIDITY)
+    m1 = to_misner(MinkowskiEvent(tau, [y1, *e.y[1:]]))
     assert m1.phi_raw - m0.phi_raw == pytest.approx(TWO_PI, abs=1e-12)
     assert m1.T == pytest.approx(m0.T, abs=1e-12)
     # quotient data agree after canonicalisation
