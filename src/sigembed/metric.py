@@ -3,6 +3,8 @@
 A model metric has the block form  g = g_tt(t, x) dt^2 + g_ij(t, x) dx^i dx^j
 with a Riemannian spatial block; the built-in canonical model is
 g = -t dt^2 + sum_i (dx^i)^2, degenerate exactly on the hypersurface t = 0.
+Evaluation enforces the block form (a nonzero time-space component raises
+EvaluationError), so the eigenvalues are g_tt and those of the spatial block.
 This module certifies pointwise structure: eigenvalue signature class, the
 degeneracy locus and its transverse radical, light-cone regularity of the
 quadratic form, and positive definiteness of the spatial slices.
@@ -76,7 +78,9 @@ class MetricModel:
     """Array evaluators for a metric in radical-adapted coordinates.
 
     ``components`` maps an (m, n) coordinate array to the (m, n, n)
-    symmetric metric matrices; their spatial block is ``[:, 1:, 1:]``.
+    symmetric metric matrices in block form: g_tt ``[:, 0, 0]``, the spatial
+    block ``[:, 1:, 1:]``, and time-space components that are exactly zero
+    (evaluation raises EvaluationError otherwise).
     ``derivatives``, when supplied, returns the coordinate derivatives as
     an (m, n, n, n) array indexed [point, kappa, mu, nu]; otherwise central
     finite differences are used wherever derivatives are needed.  Both
@@ -114,7 +118,7 @@ def toy_model(n=2):
 
 def eval_metric_grid(model, coords):
     """Metric components over an (m, n) coordinate array, validated to be
-    finite and symmetric."""
+    finite, block-diagonal (zero time-space components) and symmetric."""
     coords = np.asarray(coords, dtype=float)
     n = model.dimension
     if coords.ndim != 2 or coords.shape[1] != n:
@@ -134,11 +138,21 @@ def eval_metric_grid(model, coords):
             f"non-finite metric component at index {(i, j)} at point {coords[k]}",
             index=(i, j),
         )
-    # pairwise, so that a large grid needs no transposed copy of g
-    scale = np.maximum(1.0, np.maximum(g.max(axis=(1, 2)), -g.min(axis=(1, 2))))
-    for i, j in zip(*np.triu_indices(n, 1)):
-        if (np.abs(g[:, i, j] - g[:, j, i]) > 1e-12 * scale).any():
-            raise EvaluationError("component evaluator returned an asymmetric matrix")
+    cross = np.argwhere((g[:, 0, 1:] != 0.0) | (g[:, 1:, 0] != 0.0))
+    if cross.size:
+        k, j = int(cross[0, 0]), int(cross[0, 1]) + 1
+        raise EvaluationError(
+            f"nonzero time-space metric component at index {(0, j)} at point "
+            f"{coords[k]}; models must be block-diagonal", index=(0, j))
+    # spatial pairs; the scale max(1, max|g|) only on the rows that differ
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            rows = np.flatnonzero(g[:, i, j] != g[:, j, i])
+            scale = np.maximum(1.0, np.abs(g[rows]).max(axis=(1, 2), initial=0.0))
+            bad = rows[np.abs(g[rows, i, j] - g[rows, j, i]) > 1e-12 * scale]
+            if bad.size:
+                raise EvaluationError(f"asymmetric metric component at index {(i, j)} "
+                                      f"at point {coords[bad[0]]}", index=(i, j))
     return g
 
 
@@ -148,18 +162,20 @@ def eval_metric(model, p):
 
 
 def _signature_grid(model, coords, tol):
+    # block form: eigenvalues g_tt and the spatial block's, one row each
     if tol <= 0:
         raise PreconditionError(f"tol must be positive, got {tol}")
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
     try:
-        eig = np.linalg.eigvalsh(g)
+        spatial = np.linalg.eigvalsh(g[:, 1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen-solver failed: {exc}") from exc
-    band = tol * np.abs(eig).max(axis=1, keepdims=True)
-    neg = (eig < -band).sum(axis=1)
-    pos = (eig > band).sum(axis=1)
-    zero = (np.abs(eig) <= band).sum(axis=1)
+    eig = np.stack([g[:, 0, 0], *spatial.T])
+    band = tol * np.abs(eig).max(axis=0)
+    neg = (eig < -band).sum(axis=0)
+    pos = (eig > band).sum(axis=0)
+    zero = eig.shape[0] - neg - pos
     two_times = (zero == 0) & (neg >= 2)
     if two_times.any():
         k = int(np.argmax(two_times))
@@ -193,7 +209,7 @@ def classify_signature(model, p, tol=1e-10):
         negative_count=int(neg[0]),
         zero_count=int(zero[0]),
         positive_count=int(pos[0]),
-        min_abs_eigenvalue=float(np.abs(eig[0]).min()),
+        min_abs_eigenvalue=float(np.abs(eig[:, 0]).min()),
     )
 
 

@@ -21,6 +21,12 @@ from .metric import eval_metric_grid
 # Rank cutoff for the immersion check, relative to the largest singular value.
 _RANK_RTOL = 1e-10
 
+# Gram screen: lambda_min > _GRAM_MARGIN * lambda_max of J^T J certifies full
+# rank without an SVD.  Forming J^T J and its eigenvalues moves each lambda by
+# a few (N + n) eps lambda_max (~1e-14), so a certified row has sigma_min /
+# sigma_max >= ~1e-4, far above _RANK_RTOL, whose square the Gram cannot see.
+_GRAM_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class MinkowskiEvent:
@@ -67,11 +73,11 @@ class EmbeddingMap:
     row, and raises DomainError outside the embedding domain.  ``jacobian``
     maps (m, n) coordinates to the analytic (m, N, n) Jacobians when
     available; finite differences of ``value`` are used otherwise.  The
-    optional ``event_time`` / ``on_image_residual`` pair enables
-    orbit-intersection machinery: both map (m, N) events to (m,) values,
-    nan where undefined; the first recovers the source time coordinate of
-    the natural preimage of an ambient event, the second vanishes exactly
-    on the image.
+    optional ``event_time`` and ``on_image_residual`` map (m, N) events to
+    (m,) values, nan where undefined: the first recovers the source time
+    coordinate of the natural preimage of an ambient event, the second
+    vanishes exactly on the image.  Orbit-intersection scans need only
+    ``on_image_residual``.
     """
 
     source_dim: int
@@ -189,14 +195,19 @@ def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
         )
     coords = np.asarray(coords, dtype=float)
     jac = jacobian_grid(map_, coords, mode, cfg)
-    sv = np.linalg.svd(jac, compute_uv=False)
+    gram = np.matmul(jac.transpose(0, 2, 1), jac)
+    lam = np.linalg.eigvalsh(gram)
+    # rows off the Gram screen, or not finite, take the SVD rank test
+    rows = np.flatnonzero(~((lam[:, 0] > _GRAM_MARGIN * lam[:, -1])
+                            & np.isfinite(gram).all(axis=(1, 2))))
+    sv = np.linalg.svd(jac[rows], compute_uv=False)
     rank = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
-    deficient = rank < map_.source_dim
-    if deficient.any():
-        k = int(np.argmax(deficient))
+    deficient = np.flatnonzero(rank < map_.source_dim)
+    if deficient.size:
+        i, k = deficient[0], rows[deficient[0]]
         raise ImmersionError(
-            f"embedding Jacobian has rank {rank[k]} < {map_.source_dim} at {coords[k]}",
-            rank=int(rank[k]),
+            f"embedding Jacobian has rank {rank[i]} < {map_.source_dim} at {coords[k]}",
+            rank=int(rank[i]),
         )
     eta_diag = np.diagonal(minkowski_eta(map_.target_dim))
     return np.einsum("mia,i,mib->mab", jac, eta_diag, jac)

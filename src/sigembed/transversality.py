@@ -86,11 +86,8 @@ def _orbit_events(base, s):
 
 
 def _require_orbit_capable(map_, base):
-    if map_.on_image_residual is None or map_.event_time is None:
-        raise CapabilityError(
-            "map does not expose an image-membership residual and preimage "
-            "time; orbit scans need an invertible-on-image map"
-        )
+    if map_.on_image_residual is None:
+        raise CapabilityError("orbit scans need the map's on_image_residual")
     # orbits preserve the half-space
     require_region(base.tau, base.y[0])
 
@@ -147,7 +144,7 @@ def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
     rapidities over ``s_range``.
 
     The base must lie in the half-space y1 - tau > 0 (orbits preserve it);
-    the map must expose membership and preimage-time evaluators.
+    the map must expose an ``on_image_residual`` evaluator.
     """
     samples = int(samples)
     if samples < 2:

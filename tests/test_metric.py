@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sigembed import (ChartPoint, EvaluationError, MetricModel,
                       PreconditionError, SignatureClass, classify_signature,
-                      classify_signature_grid, eval_metric, lc_regularity_at,
-                      metric_derivatives, radical_transversality,
+                      classify_signature_grid, eval_metric,
+                      isometry_residual_grid, lc_regularity_at,
+                      metric_derivatives, psi_toy_map, radical_transversality,
                       slice_metric, toy_model)
 
 
@@ -42,8 +45,48 @@ def test_eval_metric_rejects_non_finite_with_index():
 
 def test_eval_metric_rejects_asymmetric():
     m = MetricModel(2, lambda c: np.array([[[1.0, 0.5], [0.0, 1.0]]] * len(c)))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as err:
         eval_metric(m, ChartPoint(0.0, [0.0]))
+    assert err.value.index == (0, 1)
+
+    def components(coords):
+        # g_12 - g_21 = 1e-9 on rows with t > 0, scaled by max|g| = max(1, |t|)
+        g = np.broadcast_to(np.eye(3), (len(coords), 3, 3)).copy()
+        g[:, 0, 0] = -coords[:, 0]
+        g[coords[:, 0] > 0.0, 1, 2] += 1e-9
+        return g
+
+    m3 = MetricModel(3, components)
+    # within 1e-12 of the largest component at t = 1e4: accepted
+    eval_metric(m3, ChartPoint(1e4, [0.0, 0.0]))
+    with pytest.raises(EvaluationError, match=r"at point \[ 2\.  3\. -4\.\]") as err:
+        classify_signature_grid(m3, [[-1.0, 0.0, 0.0], [2.0, 3.0, -4.0]])
+    assert err.value.index == (1, 2)
+
+
+@pytest.mark.parametrize("n,entry", [(2, (0, 1)), (3, (2, 0)), (4, (0, 3))])
+def test_time_space_components_rejected(n, entry):
+    def components(coords):
+        g = np.broadcast_to(np.eye(n), (len(coords), n, n)).copy()
+        g[:, 0, 0] = -1.0
+        cross = coords[:, 0] > 1.0
+        g[cross, entry[0], entry[1]] = g[cross, entry[1], entry[0]] = 0.3
+        return g
+
+    m = MetricModel(n, components)
+    coords = np.zeros((3, n))
+    coords[:, 0] = [0.5, 1.5, 2.5]
+    index = (0, max(entry))
+    with pytest.raises(EvaluationError, match=r"at point \[1\.5") as err:
+        classify_signature_grid(m, coords)
+    assert err.value.index == index
+    with pytest.raises(EvaluationError) as err:
+        eval_metric(m, ChartPoint.from_coords(coords[1]))
+    assert err.value.index == index
+    if n == 2:
+        with pytest.raises(EvaluationError) as err:
+            isometry_residual_grid(psi_toy_map(2), m, coords, "analytic")
+        assert err.value.index == index
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -88,6 +131,68 @@ def test_classify_grid_matches_pointwise():
     for c, row in zip(classes, coords):
         assert c is classify_signature(m, ChartPoint.from_coords(row)).signature_class
     assert (neg + zero + pos == 3).all()
+
+
+def full_matrix_signature(g, tol):
+    """Reference: eigenvalues of the whole matrix, counted by reductions."""
+    eig = np.linalg.eigvalsh(g)
+    band = tol * np.abs(eig).max(axis=1, keepdims=True)
+    neg = (eig < -band).sum(axis=1)
+    zero = (np.abs(eig) <= band).sum(axis=1)
+    pos = (eig > band).sum(axis=1)
+    classes = np.where(zero >= 1, SignatureClass.DEGENERATE,
+                       np.where(neg == 0, SignatureClass.RIEMANNIAN,
+                                SignatureClass.LORENTZIAN))
+    return classes, neg, zero, pos, np.abs(eig).min(axis=1), (zero == 0) & (neg >= 2)
+
+
+# eigenvalue magnitudes: mostly of order one, some on a log scale down to
+# 1e-12 (inside and outside the zero band), some exactly 0
+_ratios = st.integers(0, 7).flatmap(lambda kind: (
+    st.just(0.0) if kind == 0
+    else st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e) if kind == 1
+    else st.floats(0.1, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), m=st.integers(1, 6),
+       tol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_block_classes_match_full_matrix(data, n, m, tol):
+    # each row: g_tt and a rotated spatial block with drawn eigenvalues lam
+    rows = st.lists(_ratios, min_size=n, max_size=n)
+    signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+    lam = (np.array(data.draw(st.lists(rows, min_size=m, max_size=m)))
+           * np.array(data.draw(st.lists(signs, min_size=m, max_size=m)))
+           * data.draw(st.sampled_from([1e-3, 1.0, 1e5])))
+    lam[np.abs(lam).max(axis=1) == 0.0, 0] = 1.0
+    # |lam| / max|lam| stays 1e-6 of tol and 1e-12 (far above eigvalsh
+    # rounding) away from the band edge tol
+    rel = np.abs(lam) / np.abs(lam).max(axis=1, keepdims=True)
+    assume(np.all(np.abs(rel - tol) > max(1e-6 * tol, 1e-12)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = np.zeros((m, n, n))
+    g[:, 0, 0] = lam[:, 0]
+    for k in range(m):
+        q, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))
+        block = (q * lam[k, 1:]) @ q.T
+        g[k, 1:, 1:] = 0.5 * (block + block.T)
+    # the coordinate t picks the row
+    model = MetricModel(n, lambda c: g[c[:, 0].astype(int)].copy())
+    coords = np.zeros((m, n))
+    coords[:, 0] = np.arange(m)
+    classes, neg, zero, pos, min_abs, two_times = full_matrix_signature(g, tol)
+    if two_times.any():
+        with pytest.raises(PreconditionError, match="negative eigenvalues"):
+            classify_signature_grid(model, coords, tol)
+    keep = ~two_times
+    got = classify_signature_grid(model, coords[keep], tol)
+    assert list(got[0]) == list(classes[keep])
+    for have, want in zip(got[1:], (neg, zero, pos)):
+        np.testing.assert_array_equal(have, want[keep])
+    for k in np.flatnonzero(keep):
+        report = classify_signature(model, ChartPoint.from_coords(coords[k]), tol)
+        assert report.min_abs_eigenvalue == pytest.approx(
+            min_abs[k], abs=1e-13 * np.abs(lam[k]).max())
 
 
 def test_toy_determinant_is_minus_t():

@@ -5,7 +5,7 @@ from sigembed import (ChartPoint, DomainError, ImmersionError,
                       PreconditionError, isometry_residual,
                       isometry_residual_grid, map_jacobian, psi_toy,
                       psi_toy_map, pullback, temporal_f, toy_model)
-from sigembed.minkowski import EmbeddingMap, MinkowskiEvent
+from sigembed.minkowski import EmbeddingMap, MinkowskiEvent, pullback_grid
 from sigembed.verify import perturbed_psi_map
 
 
@@ -95,6 +95,61 @@ def test_pullback_rank_deficiency_reported():
         isometry_residual_grid(degenerate, toy_model(2),
                                [[1.0, 0.0], [2.0, 0.5]], "finite_difference")
     assert err.value.rank == 1
+
+
+def svd_rank(jac):
+    """Reference: singular values above 1e-10 of the largest."""
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+
+
+def jacobian_map(jacs):
+    """Map on rows 0..m-1 (coordinate t = row index) with given Jacobians."""
+    return EmbeddingMap(2, 3, value=lambda c: np.zeros((len(c), 3)),
+                        jacobian=lambda c: jacs[c[:, 0].astype(int)])
+
+
+def rotated_jacobian(ratio, seed=4):
+    # sigma_min / sigma_max = ratio, with no entry exactly zero
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    return (u[:, :2] * [2.0, 2.0 * ratio]) @ v.T
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 1e-11, 0.0])
+def test_pullback_rank_matches_svd_reference(ratio):
+    jacs = rotated_jacobian(ratio)[None]
+    coords = np.zeros((1, 2))
+    rank = int(svd_rank(jacs)[0])
+    if rank == 2:
+        eta = np.diag([-1.0, 1.0, 1.0])
+        back = pullback(jacobian_map(jacs), None, ChartPoint(0.0, [0.0]))
+        np.testing.assert_allclose(back, jacs[0].T @ eta @ jacs[0], rtol=1e-14)
+        assert ratio >= 1e-9
+    else:
+        with pytest.raises(ImmersionError) as err:
+            isometry_residual_grid(jacobian_map(jacs), None, coords)
+        assert err.value.rank == rank == 1
+        assert ratio <= 1e-11
+
+
+@pytest.mark.parametrize("k", [0, 17, 49])
+@pytest.mark.parametrize("ratio", [1e-11, 0.0])
+def test_pullback_names_the_only_deficient_row(k, ratio):
+    # full-rank rows of every conditioning the Gram screen and the SVD
+    # fallback see, and one deficient row k
+    jacs = np.stack([rotated_jacobian(r, seed=i) for i, r in
+                     enumerate(np.tile([1.0, 1e-3, 1e-6, 1e-9, 0.3], 10))])
+    jacs[k] = rotated_jacobian(ratio, seed=100 + k)
+    ranks = svd_rank(jacs)
+    assert np.flatnonzero(ranks < 2).tolist() == [k]
+    coords = np.column_stack([np.arange(50.0), np.linspace(-1.0, 1.0, 50)])
+    with pytest.raises(ImmersionError) as err:
+        pullback_grid(jacobian_map(jacs), None, coords)
+    assert err.value.rank == ranks[k]
+    assert str(err.value) == (
+        f"embedding Jacobian has rank {ranks[k]} < 2 at {coords[k]}")
 
 
 def test_pullback_requires_analytic_jacobian_when_asked():

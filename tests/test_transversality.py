@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,13 @@ def test_orbit_requires_capability(cfg):
     with pytest.raises(CapabilityError):
         orbit_intersection_count(bare, MinkowskiEvent(0.0, [1.0, 0.0]),
                                  (-1, 1), 11, cfg)
+
+
+def test_orbit_count_needs_only_the_residual(cfg):
+    # scans read on_image_residual alone; a map without event_time counts
+    map_ = dataclasses.replace(psi_toy_map(2), event_time=None)
+    assert orbit_intersection_count(map_, psi_toy(ChartPoint(1.0, [0.5])),
+                                    cfg=cfg) == 1
 
 
 def test_orbit_base_outside_region(cfg):
