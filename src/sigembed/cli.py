@@ -278,7 +278,7 @@ def build_parser():
     embed.add_argument("--model", choices=["toy", "user-file"], default="toy")
     embed.add_argument("--embedding", choices=["psi", "explicit"], default="explicit")
     embed.add_argument("--n", type=int, default=2, help="source dimension (>= 2)")
-    embed.add_argument("--t-range", default="-3:3:601", help="lo:hi:count")
+    embed.add_argument("--t-range", help="lo:hi:count (-3:3:601; psi -0.9:10:601)")
     embed.add_argument("--x-fixed", default="", help="comma list of fixed x values")
     embed.add_argument("--shift", type=float, default=0.0,
                        help="translation of the solution family (explicit only)")
@@ -290,7 +290,7 @@ def build_parser():
     misner.add_argument("--embedding", choices=["psi_toy", "explicit"],
                         default="explicit")
     misner.add_argument("--n", type=int, default=2)
-    misner.add_argument("--t-range", default="-3:3:121", help="lo:hi:count")
+    misner.add_argument("--t-range", help="lo:hi:count (-3:3:121; psi -0.3:3:121)")
     misner.add_argument("--x-fixed", default="")
     misner.add_argument("--shift", type=float, default=1.0)
     misner.add_argument("--orbit-event", default=None,
@@ -327,6 +327,10 @@ def main(argv=None):
             parser.error(f"--n must be >= 2, got {args.n}")
         if not 0.0 <= args.shift < np.inf:
             parser.error(f"--shift must be finite and >= 0, got {args.shift}")
+        if args.t_range is None:  # psi needs t > -1; orbit copies use no t-grid
+            psi = args.embedding != "explicit" and not getattr(args, "orbit_event", None)
+            args.t_range = {"embed": ("-3:3:601", "-0.9:10:601"),
+                            "misner": ("-3:3:121", "-0.3:3:121")}[args.command][psi]
         args.t_range = _parse_t_range(args.t_range, parser)
         args.x_fixed = _parse_x_fixed(args.x_fixed, args.n, parser)
     if args.command == "misner":

@@ -1,10 +1,11 @@
 """Signature-type-changing metrics in radical-adapted coordinates.
 
 A model metric has the block form  g = g_tt(t, x) dt^2 + g_ij(t, x) dx^i dx^j
-with a Riemannian spatial block; the built-in canonical model is
-g = -t dt^2 + sum_i (dx^i)^2, degenerate exactly on the hypersurface t = 0.
-Evaluation enforces the block form (a nonzero time-space component raises
-EvaluationError), so the eigenvalues are g_tt and those of the spatial block.
+with a Riemannian spatial block; the canonical model g = -t dt^2 + sum_i
+(dx^i)^2 is degenerate exactly on t = 0.  Evaluation enforces the block form
+(a nonzero time-space component raises EvaluationError), so the eigenvalues
+are g_tt and those of the spatial block: its diagonal when that block is
+diagonal, the eigen-solver's otherwise.
 This module certifies pointwise structure: eigenvalue signature class, the
 degeneracy locus and its transverse radical, light-cone regularity of the
 quadratic form, and positive definiteness of the spatial slices.
@@ -80,12 +81,12 @@ class MetricModel:
     ``components`` maps an (m, n) coordinate array to the (m, n, n)
     symmetric metric matrices in block form: g_tt ``[:, 0, 0]``, the spatial
     block ``[:, 1:, 1:]``, and time-space components that are exactly zero
-    (evaluation raises EvaluationError otherwise).
-    ``derivatives``, when supplied, returns the coordinate derivatives as
-    an (m, n, n, n) array indexed [point, kappa, mu, nu]; otherwise central
-    finite differences are used wherever derivatives are needed.  Both
-    evaluators must be pure and row-wise (row i of the output depends on
-    row i of the coordinates alone).
+    (evaluation raises EvaluationError otherwise).  A diagonal spatial block
+    is classified without an eigen-solver.  ``derivatives``, when supplied,
+    returns the coordinate derivatives as an (m, n, n, n) array indexed
+    [point, kappa, mu, nu]; otherwise central finite differences are used
+    wherever derivatives are needed.  Both evaluators must be pure and
+    row-wise (row i of the output depends on row i of the coordinates alone).
     """
 
     dimension: int
@@ -138,12 +139,12 @@ def eval_metric_grid(model, coords):
             f"non-finite metric component at index {(i, j)} at point {coords[k]}",
             index=(i, j),
         )
-    cross = np.argwhere((g[:, 0, 1:] != 0.0) | (g[:, 1:, 0] != 0.0))
-    if cross.size:
-        k, j = int(cross[0, 0]), int(cross[0, 1]) + 1
+    cross = (g[:, 0, 1:] != 0.0) | (g[:, 1:, 0] != 0.0)
+    if cross.any():
+        k, j = np.argwhere(cross)[0] + (0, 1)
         raise EvaluationError(
-            f"nonzero time-space metric component at index {(0, j)} at point "
-            f"{coords[k]}; models must be block-diagonal", index=(0, j))
+            f"nonzero time-space metric component at index {(0, int(j))} at "
+            f"point {coords[k]}; models must be block-diagonal", index=(0, int(j)))
     # spatial pairs; the scale max(1, max|g|) only on the rows that differ
     for i in range(1, n):
         for j in range(i + 1, n):
@@ -161,17 +162,25 @@ def eval_metric(model, p):
     return eval_metric_grid(model, p.batch())[0]
 
 
+def _spatial_eigenvalues(block):
+    # unordered (m, k) eigenvalues of (m, k, k) blocks; eigvalsh only where coupled
+    eig = np.diagonal(block, axis1=1, axis2=2).copy()
+    coupled = block[:, ~np.eye(block.shape[-1], dtype=bool)].any(axis=1)
+    if coupled.any():
+        try:
+            eig[coupled] = np.linalg.eigvalsh(block[coupled])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigen-solver failed: {exc}") from exc
+    return eig
+
+
 def _signature_grid(model, coords, tol):
     # block form: eigenvalues g_tt and the spatial block's, one row each
     if tol <= 0:
         raise PreconditionError(f"tol must be positive, got {tol}")
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
-    try:
-        spatial = np.linalg.eigvalsh(g[:, 1:, 1:])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigen-solver failed: {exc}") from exc
-    eig = np.stack([g[:, 0, 0], *spatial.T])
+    eig = np.stack([g[:, 0, 0], *_spatial_eigenvalues(g[:, 1:, 1:]).T])
     band = tol * np.abs(eig).max(axis=0)
     neg = (eig < -band).sum(axis=0)
     pos = (eig > band).sum(axis=0)
@@ -323,7 +332,7 @@ def slice_metric_grid(model, coords):
     """Spatial blocks over an (m, n) coordinate array and their
     positive-definite flags."""
     block = eval_metric_grid(model, coords)[:, 1:, 1:]
-    return block, np.linalg.eigvalsh(block)[:, 0] > 0.0
+    return block, _spatial_eigenvalues(block).min(axis=1) > 0.0
 
 
 def slice_metric(model, t, spatial):

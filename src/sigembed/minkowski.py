@@ -15,16 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NumericConfig, central_diff, fd_steps
-from .errors import DomainError, ImmersionError, PreconditionError
+from .errors import DomainError, EvaluationError, ImmersionError, PreconditionError
 from .metric import eval_metric_grid
 
 # Rank cutoff for the immersion check, relative to the largest singular value.
 _RANK_RTOL = 1e-10
 
-# Gram screen: lambda_min > _GRAM_MARGIN * lambda_max of J^T J certifies full
-# rank without an SVD.  Forming J^T J and its eigenvalues moves each lambda by
-# a few (N + n) eps lambda_max (~1e-14), so a certified row has sigma_min /
-# sigma_max >= ~1e-4, far above _RANK_RTOL, whose square the Gram cannot see.
+# Gram screen: with Gershgorin radii R_a = sum_{b != a} |G_ab| of G = J^T J,
+# min (G_aa - R_a) > _GRAM_MARGIN * max (G_aa + R_a) bounds lambda_min /
+# lambda_max from below and certifies full rank without an SVD.  Rounding in G
+# and the radii moves both sides by a few (N + n) eps lambda_max (~1e-14), so
+# a certified row has sigma_min / sigma_max >= ~1e-4, far above _RANK_RTOL.
 _GRAM_MARGIN = 1e-8
 
 
@@ -179,14 +180,26 @@ def map_jacobian(map_, p, mode="analytic", cfg=None):
     return jacobian_grid(map_, p.batch(), mode, cfg)[0]
 
 
+def _pullback_gram(jac):
+    # J^T eta J and the Gram screen of (m, N, n) Jacobians, one pass over J's rows
+    gram, back = np.zeros((2, len(jac), jac.shape[2], jac.shape[2]))
+    for i in range(jac.shape[1]):
+        outer = jac[:, i, :, None] * jac[:, i, None, :]
+        gram += outer
+        back += -outer if i == 0 else outer
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    radius = np.abs(gram).sum(axis=2) - diag
+    return back, (diag - radius).min(axis=1) > _GRAM_MARGIN * (diag + radius).max(axis=1)
+
+
 def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
     """Pullbacks J^T eta J of the flat metric over an (m, n) coordinate
     array, as (m, n, n).
 
     ``model`` (or None) must match the map's source dimension.  Raises
-    DomainError outside the embedding domain and ImmersionError (carrying
-    the observed rank) at the first point whose Jacobian is column-rank
-    deficient.
+    DomainError outside the embedding domain, EvaluationError at the first
+    point with a non-finite Jacobian and ImmersionError (carrying the
+    observed rank) at the first column-rank deficient one.
     """
     if model is not None and model.dimension != map_.source_dim:
         raise PreconditionError(
@@ -195,22 +208,20 @@ def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
         )
     coords = np.asarray(coords, dtype=float)
     jac = jacobian_grid(map_, coords, mode, cfg)
-    gram = np.matmul(jac.transpose(0, 2, 1), jac)
-    lam = np.linalg.eigvalsh(gram)
-    # rows off the Gram screen, or not finite, take the SVD rank test
-    rows = np.flatnonzero(~((lam[:, 0] > _GRAM_MARGIN * lam[:, -1])
-                            & np.isfinite(gram).all(axis=(1, 2))))
+    finite = np.isfinite(jac).all(axis=(1, 2))
+    if not finite.all():
+        raise EvaluationError(f"non-finite embedding Jacobian at {coords[~finite][0]}")
+    back, certified = _pullback_gram(jac)
+    # rows off the Gram screen take the SVD rank test
+    rows = np.flatnonzero(~certified)
     sv = np.linalg.svd(jac[rows], compute_uv=False)
     rank = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
     deficient = np.flatnonzero(rank < map_.source_dim)
     if deficient.size:
         i, k = deficient[0], rows[deficient[0]]
-        raise ImmersionError(
-            f"embedding Jacobian has rank {rank[i]} < {map_.source_dim} at {coords[k]}",
-            rank=int(rank[i]),
-        )
-    eta_diag = np.diagonal(minkowski_eta(map_.target_dim))
-    return np.einsum("mia,i,mib->mab", jac, eta_diag, jac)
+        raise ImmersionError(f"embedding Jacobian has rank {rank[i]} < "
+                             f"{map_.source_dim} at {coords[k]}", rank=int(rank[i]))
+    return back
 
 
 def pullback(map_, model, p, mode="analytic", cfg=None):

@@ -364,6 +364,12 @@ def check_orbit_injectivity(bases_per_map=12, samples=2001, seed=37, cfg=None):
         f"{2 * bases_per_map} on-image bases, s in [-20, 20] x{samples}")
 
 
+def _duplicate_rows(rows):
+    """Number of rows of a 2-d array equal to an earlier row (-0.0 == 0.0)."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    return int(np.count_nonzero((ordered[1:] == ordered[:-1]).all(axis=1)))
+
+
 def check_composed_injectivity(t_count=100, x_count=100, cfg=None):
     family = HyperbolaFamily(1.0)
     ts = np.linspace(-3.0, 3.0, t_count)
@@ -373,7 +379,7 @@ def check_composed_injectivity(t_count=100, x_count=100, cfg=None):
     rows = np.column_stack([
         np.repeat(T, x_count), np.repeat(phi, x_count), np.tile(xs, t_count),
     ])
-    collisions = rows.shape[0] - np.unique(rows, axis=0).shape[0]
+    collisions = _duplicate_rows(rows)
     return CheckResult.from_failures("composed_images_distinct", collisions,
                                      f"{t_count} x {x_count} composed images, shift 1")
 

@@ -204,6 +204,31 @@ def test_misner_psi_region_failure_names_t(tmp_path, capsys):
     assert "t = -0.95" in err
 
 
+@pytest.mark.parametrize("command,embedding,default", [
+    ("embed", "psi", "-0.9:10:601"),
+    ("misner", "psi_toy", "-0.3:3:121"),
+])
+def test_psi_default_t_range_inside_region(tmp_path, command, embedding, default):
+    # without --t-range the psi maps run on a grid inside t > -1 and the
+    # half-space, the same bytes as that grid given explicitly
+    a, b = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert run_cli([command, "--embedding", embedding, "--output", str(a)]) == 0
+    assert run_cli([command, "--embedding", embedding, "--t-range", default,
+                    "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    lo, hi, count = default.split(":")
+    np.testing.assert_array_equal(read_csv(a)[1][:, 0],
+                                  np.linspace(float(lo), float(hi), int(count)))
+
+
+def test_explicit_default_t_ranges_unchanged(tmp_path):
+    for command, default in (("embed", "-3:3:601"), ("misner", "-3:3:121")):
+        a, b = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert run_cli([command, "--output", str(a)]) == 0
+        assert run_cli([command, "--t-range", default, "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_misner_orbit_event_outside_region(capsys):
     code = run_cli(["misner", "--orbit-event", "1,0"])
     assert code == 1

@@ -11,6 +11,7 @@ from sigembed import (ChartPoint, EvaluationError, MetricModel,
                       isometry_residual_grid, lc_regularity_at,
                       metric_derivatives, psi_toy_map, radical_transversality,
                       slice_metric, toy_model)
+from sigembed.metric import slice_metric_grid
 
 
 def test_eval_metric_canonical_values():
@@ -158,28 +159,41 @@ _ratios = st.integers(0, 7).flatmap(lambda kind: (
 @given(data=st.data(), n=st.integers(2, 4), m=st.integers(1, 6),
        tol=st.sampled_from([1e-10, 1e-6, 1e-2]))
 def test_block_classes_match_full_matrix(data, n, m, tol):
-    # each row: g_tt and a rotated spatial block with drawn eigenvalues lam
+    # each row: g_tt and a spatial block with drawn eigenvalues lam, exactly
+    # diagonal (read off directly), rotated, or for n = 4 rotated in its
+    # first two axes only (both through eigvalsh)
     rows = st.lists(_ratios, min_size=n, max_size=n)
     signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
     lam = (np.array(data.draw(st.lists(rows, min_size=m, max_size=m)))
            * np.array(data.draw(st.lists(signs, min_size=m, max_size=m)))
-           * data.draw(st.sampled_from([1e-3, 1.0, 1e5])))
+           * data.draw(st.sampled_from([1e-90, 1e-3, 1.0, 1e5, 1e90])))
     lam[np.abs(lam).max(axis=1) == 0.0, 0] = 1.0
     # |lam| / max|lam| stays 1e-6 of tol and 1e-12 (far above eigvalsh
     # rounding) away from the band edge tol
     rel = np.abs(lam) / np.abs(lam).max(axis=1, keepdims=True)
     assume(np.all(np.abs(rel - tol) > max(1e-6 * tol, 1e-12)))
+    kind = np.array(data.draw(st.lists(st.sampled_from(["diagonal", "rotated", "partial"]),
+                                       min_size=m, max_size=m)))
+    diagonal = kind == "diagonal"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = np.zeros((m, n, n))
     g[:, 0, 0] = lam[:, 0]
     for k in range(m):
-        q, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))
+        if diagonal[k]:
+            g[k, 1:, 1:] = np.diag(lam[k, 1:])
+            continue
+        q = np.eye(n - 1)
+        axes = 2 if kind[k] == "partial" and n == 4 else n - 1
+        q[:axes, :axes] = np.linalg.qr(rng.normal(size=(axes, axes)))[0]
         block = (q * lam[k, 1:]) @ q.T
         g[k, 1:, 1:] = 0.5 * (block + block.T)
     # the coordinate t picks the row
     model = MetricModel(n, lambda c: g[c[:, 0].astype(int)].copy())
     coords = np.zeros((m, n))
     coords[:, 0] = np.arange(m)
+    _, positive_definite = slice_metric_grid(model, coords)
+    np.testing.assert_array_equal(positive_definite,
+                                  np.linalg.eigvalsh(g[:, 1:, 1:])[:, 0] > 0.0)
     classes, neg, zero, pos, min_abs, two_times = full_matrix_signature(g, tol)
     if two_times.any():
         with pytest.raises(PreconditionError, match="negative eigenvalues"):
@@ -189,10 +203,19 @@ def test_block_classes_match_full_matrix(data, n, m, tol):
     assert list(got[0]) == list(classes[keep])
     for have, want in zip(got[1:], (neg, zero, pos)):
         np.testing.assert_array_equal(have, want[keep])
+    # entries in [1e-100, 1e100] are not rescaled inside eigvalsh, so a
+    # diagonal matrix comes back exactly
+    in_range = ((np.abs(lam) >= 1e-100) & (np.abs(lam) <= 1e100)).all(axis=1)
     for k in np.flatnonzero(keep):
         report = classify_signature(model, ChartPoint.from_coords(coords[k]), tol)
-        assert report.min_abs_eigenvalue == pytest.approx(
-            min_abs[k], abs=1e-13 * np.abs(lam[k]).max())
+        assert report.signature_class is classes[k]
+        assert (report.negative_count, report.zero_count, report.positive_count) == (
+            neg[k], zero[k], pos[k])
+        if diagonal[k] and in_range[k]:
+            assert report.min_abs_eigenvalue == min_abs[k]
+        else:
+            assert report.min_abs_eigenvalue == pytest.approx(
+                min_abs[k], abs=1e-13 * np.abs(lam[k]).max())
 
 
 def test_toy_determinant_is_minus_t():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigembed import (ChartPoint, DomainError, ImmersionError,
-                      PreconditionError, isometry_residual,
+from sigembed import (ChartPoint, DomainError, EvaluationError,
+                      ImmersionError, PreconditionError, isometry_residual,
                       isometry_residual_grid, map_jacobian, psi_toy,
                       psi_toy_map, pullback, temporal_f, toy_model)
-from sigembed.minkowski import EmbeddingMap, MinkowskiEvent, pullback_grid
+from sigembed.minkowski import (EmbeddingMap, MinkowskiEvent, _pullback_gram,
+                                pullback_grid)
 from sigembed.verify import perturbed_psi_map
 
 
@@ -150,6 +153,43 @@ def test_pullback_names_the_only_deficient_row(k, ratio):
     assert err.value.rank == ranks[k]
     assert str(err.value) == (
         f"embedding Jacobian has rank {ranks[k]} < 2 at {coords[k]}")
+
+
+def test_pullback_names_non_finite_jacobian_point():
+    # sqrt(t - 1) is nan for t < 1, so the difference quotients are too
+    m = EmbeddingMap(2, 3, lambda c: np.column_stack([np.sqrt(c[:, 0] - 1), c]))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvaluationError) as err:
+            pullback(m, None, ChartPoint(0.5, [0.0]), "finite_difference")
+        assert str(err.value) == "non-finite embedding Jacobian at [0.5 0. ]"
+        coords = np.array([[2.0, 0.0], [3.0, 1.0], [0.25, -1.0], [0.5, 0.0]])
+        with pytest.raises(EvaluationError, match=r"at \[ 0.25 -1.  \]"):
+            pullback_grid(m, None, coords, "finite_difference")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), m=st.integers(1, 8))
+def test_pullback_gram_matches_einsum_and_screen_is_sound(data, n, m):
+    big_n = data.draw(st.integers(n, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # random or near-axis columns (as the psi and explicit maps give), scaled
+    # apart across the 1e-4 conditioning edge; some nearly dependent, some
+    # entries exactly zero, the overall magnitude on a log scale
+    jac = rng.normal(size=(m, big_n, n)) * 10.0 ** rng.uniform(-8, 0, size=(m, 1, 1))
+    jac[:, :n, :] += np.eye(n) * (rng.random((m, 1, 1)) < 0.5)
+    jac *= 10.0 ** rng.uniform(-6, 0, size=(m, 1, n))
+    near = rng.random(m) < 0.2
+    jac[near, :, -1] = (jac[near, :, 0] * rng.normal()
+                        + 10.0 ** rng.uniform(-14, -2) * jac[near, :, -1])
+    jac[rng.random(jac.shape) < 0.1] = 0.0
+    jac *= 10.0 ** data.draw(st.integers(-100, 100))
+    eta = np.ones(big_n)
+    eta[0] = -1.0
+    back, certified = _pullback_gram(jac)
+    want = np.einsum("mia,i,mib->mab", jac, eta, jac)
+    assert back.shape == want.shape and back.tobytes() == want.tobytes()  # bitwise
+    sv = np.linalg.svd(jac[certified], compute_uv=False)
+    assert (sv[:, -1] > 1e-4 * sv[:, 0]).all()
 
 
 def test_pullback_requires_analytic_jacobian_when_asked():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigembed.config import DEFAULT_FD_STEP, NumericConfig, fd_steps
-from sigembed.verify import PSI_REGION_T_MIN, _off_kink_points
+from sigembed.verify import (PSI_REGION_T_MIN, _duplicate_rows,
+                             _off_kink_points, run_all)
 
 
 @pytest.mark.parametrize("fd_step", [DEFAULT_FD_STEP, 0.5])
@@ -23,3 +26,33 @@ def test_off_kink_points_match_per_draw_loop(count, t_lo, fd_step):
         assert drawn > count
     sampled = _off_kink_points(np.random.default_rng(41), count, t_lo, cfg)
     np.testing.assert_array_equal(sampled, np.array(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 30), k=st.integers(1, 4))
+def test_duplicate_rows_match_unique(data, m, k):
+    # few distinct values, so rows repeat; planted copies flip the sign of
+    # their zeros, which must still count as duplicates
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
+    rows = np.array(data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                                       min_size=m, max_size=m)))
+    planted = rows[data.draw(st.lists(st.integers(0, m - 1), max_size=5))]
+    planted[planted == 0.0] *= -1.0
+    rows = np.vstack([rows, planted])
+    rows = rows[np.random.default_rng(data.draw(st.integers(0, 99))).permutation(len(rows))]
+    assert _duplicate_rows(rows) == rows.shape[0] - np.unique(rows, axis=0).shape[0]
+
+
+def test_quick_battery_makes_no_per_matrix_lapack_calls(monkeypatch):
+    # eigvalsh and svd solve one small matrix per LAPACK call; the canonical
+    # battery reads its spatial blocks and Gram screens without them
+    stacks = []
+    for name in ("eigvalsh", "svd"):
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            if np.size(a):
+                stacks.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    results = run_all(quick=True)
+    assert all(r.passed for r in results)
+    assert stacks == []
