@@ -115,9 +115,8 @@ def _k_and_slope(y):
     return slope / y - _TWO_J1 + (2.0 / 3.0) * y * y2 * carlson_rd(y2), slope
 
 
-def arc_integral_batch(thetas, cfg=None):
-    """I(theta) over an array; returns (values, status).  cfg is unused:
-    the closed form has no tolerance."""
+def arc_integral_batch(thetas):
+    """I(theta) over an array; returns (values, status)."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     values = np.full_like(thetas, np.nan)
     status = np.zeros(thetas.shape, dtype=np.int64)

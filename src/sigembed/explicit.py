@@ -78,16 +78,16 @@ def _arc_domain(theta):
     return theta
 
 
-def arc_integral(theta, cfg=None):
+def arc_integral(theta):
     """I(theta) = integral_0^theta sqrt(|4/(sqrt2 - 2 s)^4 - 1|) ds.
 
     Negative for theta < 0; diverges as theta -> 1/sqrt(2) from below.
     """
-    values, _ = _kernels.arc_integral_batch(np.array([_arc_domain(theta)]), cfg)
+    values, _ = _kernels.arc_integral_batch(np.array([_arc_domain(theta)]))
     return float(values[0])
 
 
-def t_of_theta_grid(thetas, cfg=None):
+def t_of_theta_grid(thetas):
     """Source time t with (2/3)|t|^(3/2) sgn(t) = I(theta) over a 1-d
     array; nan where theta is non-finite or at or beyond the pole.
 
@@ -95,16 +95,16 @@ def t_of_theta_grid(thetas, cfg=None):
     series, t = theta (1.5 S(theta))^(2/3), so no power of theta underflows.
     """
     thetas = np.asarray(thetas, dtype=float)
-    values, _ = _kernels.arc_integral_batch(thetas, cfg)
+    values, _ = _kernels.arc_integral_batch(thetas)
     ts = np.sign(values) * (1.5 * np.abs(values)) ** (2.0 / 3.0)
     near = np.abs(thetas) < _kernels.ARC_SEAM
     ts[near] = thetas[near] * (1.5 * _kernels.arc_series(thetas[near])) ** (2.0 / 3.0)
     return ts
 
 
-def t_of_theta(theta, cfg=None):
+def t_of_theta(theta):
     """Source time t with (2/3)|t|^(3/2) sgn(t) = I(theta)."""
-    return float(t_of_theta_grid(np.array([_arc_domain(theta)]), cfg)[0])
+    return float(t_of_theta_grid(np.array([_arc_domain(theta)]))[0])
 
 
 def theta_of_t(t, cfg=None):
@@ -179,9 +179,6 @@ def explicit_embedding_map(n=2, family=HyperbolaFamily(), cfg=None):
         jac[:, 2:, 1:] = np.eye(n - 1)
         return jac
 
-    def event_time(events):
-        return EMBED_TIME_SIGN * t_of_theta_grid(events[:, 0] + family.offset, cfg)
-
     def on_image_residual(events):
         residual = np.full(events.shape[0], np.nan)
         below = events[:, 0] + family.offset < THETA_POLE
@@ -193,23 +190,21 @@ def explicit_embedding_map(n=2, family=HyperbolaFamily(), cfg=None):
         target_dim=n + 1,
         value=value,
         jacobian=jacobian,
-        event_time=event_time,
         on_image_residual=on_image_residual,
     )
 
 
 def ode_residual_grid(ts, family=HyperbolaFamily(), cfg=None):
     """|-theta'(t)^2 + xi'(t)^2 + t| over an array of t, by central
-    differences on the first two embedded components; the defining
+    differences of embed_explicit_grid on a (2, m) stencil; the defining
     first-order isometry identity."""
     cfg = cfg or NumericConfig()
     ts = np.asarray(ts, dtype=float)
     h = cfg.fd_step * np.maximum(1.0, np.abs(ts))
     # keep the stencil off the |t| kink at 0
     h = np.where((ts != 0.0) & (np.abs(ts) < 2.0 * h), 0.5 * np.abs(ts), h)
-    thetas = theta_of_t_grid(EMBED_TIME_SIGN * np.stack([ts - h, ts + h]), cfg)
-    xi = hyperbola_xi(thetas - family.offset, family)
-    dtheta = (thetas[1] - thetas[0]) / (2.0 * h)
+    theta, xi = embed_explicit_grid(np.stack([ts - h, ts + h]), family, cfg)
+    dtheta = (theta[1] - theta[0]) / (2.0 * h)
     dxi = (xi[1] - xi[0]) / (2.0 * h)
     return np.abs(-(dtheta**2) + dxi**2 + ts)
 

@@ -59,10 +59,12 @@ class ChartPoint:
         return cls(coords[0], coords[1:])
 
 
-class SignatureClass(enum.Enum):
-    RIEMANNIAN = "riemannian"
-    DEGENERATE = "degenerate"
-    LORENTZIAN = "lorentzian"
+class SignatureClass(enum.IntEnum):
+    """Signature class as a sign code; for the canonical model it is sign(t)."""
+
+    RIEMANNIAN = -1
+    DEGENERATE = 0
+    LORENTZIAN = 1
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ def _spatial_eigenvalues(block):
 
 def _signature_grid(model, coords, tol):
     # block form: eigenvalues g_tt and the spatial block's, one row each
-    if tol <= 0:
-        raise PreconditionError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tol must be positive and finite, got {tol}")
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
     eig = np.stack([g[:, 0, 0], *_spatial_eigenvalues(g[:, 1:, 1:]).T])
@@ -192,11 +194,9 @@ def _signature_grid(model, coords, tol):
             f"metric has {neg[k]} negative eigenvalues at {coords[k]}; "
             "only Riemannian-to-Lorentzian transverse type change is supported"
         )
-    classes = np.empty(g.shape[0], dtype=object)
-    classes[zero >= 1] = SignatureClass.DEGENERATE
-    classes[(zero == 0) & (neg == 0)] = SignatureClass.RIEMANNIAN
-    classes[(zero == 0) & (neg == 1)] = SignatureClass.LORENTZIAN
-    return classes, neg, zero, pos, eig
+    # past the guard neg <= 1 wherever zero == 0
+    codes = np.where(zero > 0, 0, 2 * neg - 1).astype(np.int8)
+    return codes, neg, zero, pos, eig
 
 
 def classify_signature_grid(model, coords, tol=1e-10):
@@ -205,16 +205,17 @@ def classify_signature_grid(model, coords, tol=1e-10):
     Eigenvalues within ``tol`` (relative to the largest magnitude at the
     point) of zero count as zero; degeneracy is a legitimate class, not an
     error.  Returns (classes, negative, zero, positive) arrays; classes
-    hold SignatureClass members.
+    are int8 SignatureClass codes: -1 Riemannian, 0 degenerate, +1
+    Lorentzian.
     """
     return _signature_grid(model, coords, tol)[:4]
 
 
 def classify_signature(model, p, tol=1e-10):
     """Eigenvalue signature of the metric at p (see classify_signature_grid)."""
-    classes, neg, zero, pos, eig = _signature_grid(model, p.batch(), tol)
+    codes, neg, zero, pos, eig = _signature_grid(model, p.batch(), tol)
     return SignatureReport(
-        signature_class=classes[0],
+        signature_class=SignatureClass(int(codes[0])),
         negative_count=int(neg[0]),
         zero_count=int(zero[0]),
         positive_count=int(pos[0]),

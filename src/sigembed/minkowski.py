@@ -74,18 +74,15 @@ class EmbeddingMap:
     row, and raises DomainError outside the embedding domain.  ``jacobian``
     maps (m, n) coordinates to the analytic (m, N, n) Jacobians when
     available; finite differences of ``value`` are used otherwise.  The
-    optional ``event_time`` and ``on_image_residual`` map (m, N) events to
-    (m,) values, nan where undefined: the first recovers the source time
-    coordinate of the natural preimage of an ambient event, the second
-    vanishes exactly on the image.  Orbit-intersection scans need only
-    ``on_image_residual``.
+    optional ``on_image_residual`` maps (m, N) events to (m,) values that
+    vanish exactly on the image, nan where undefined; orbit-intersection
+    scans need it.
     """
 
     source_dim: int
     target_dim: int
     value: object
     jacobian: object = None
-    event_time: object = None
     on_image_residual: object = None
 
     def __post_init__(self):
@@ -138,10 +135,6 @@ def psi_toy_map(n=2):
         jac[:, 2:, 1:] = np.eye(n - 1)
         return jac
 
-    def event_time(events):
-        # The y^1 component carries the source time directly.
-        return events[:, 1].copy()
-
     def on_image_residual(events):
         y1 = events[:, 1]
         residual = np.full(y1.shape, np.nan)
@@ -154,7 +147,6 @@ def psi_toy_map(n=2):
         target_dim=n + 1,
         value=value,
         jacobian=jacobian,
-        event_time=event_time,
         on_image_residual=on_image_residual,
     )
 

@@ -137,11 +137,10 @@ def _scan_intersections(map_, base, s_grid, residuals):
     return merged
 
 
-def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
-                             cfg=None):
+def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001):
     """Number of isolated boost parameters at which the orbit through
     ``base`` lies on the embedded image, from a scan of ``samples`` >= 2
-    rapidities over ``s_range``.
+    rapidities over a finite ``s_range`` = (lo, hi) with lo < hi.
 
     The base must lie in the half-space y1 - tau > 0 (orbits preserve it);
     the map must expose an ``on_image_residual`` evaluator.
@@ -149,8 +148,11 @@ def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001,
     samples = int(samples)
     if samples < 2:
         raise PreconditionError(f"samples must be >= 2, got {samples}")
+    lo, hi = float(s_range[0]), float(s_range[1])
+    if not (lo < hi and np.isfinite([lo, hi]).all()):
+        raise PreconditionError(f"s_range must be finite with lo < hi, got {s_range}")
     _require_orbit_capable(map_, base)
-    s_grid = np.linspace(float(s_range[0]), float(s_range[1]), samples)
+    s_grid = np.linspace(lo, hi, samples)
     residuals = np.asarray(map_.on_image_residual(_orbit_events(base, s_grid)),
                            dtype=float)
     return len(_scan_intersections(map_, base, s_grid, residuals))

@@ -53,8 +53,7 @@ def synthetic_tangent_map(slope=0.1, radius=2.0):
     sigma(t, x) = (r(t) sinh x, r(t) cosh x, t) with r(t) = radius + slope t:
     the Killing vector equals d sigma / d x exactly, so the image is
     everywhere tangent to the orbit foliation (regression fixture for the
-    tangency tests), and each orbit stays inside the image with constant
-    preimage time.
+    tangency tests), and each orbit stays inside the image.
     """
 
     def r_of(t):
@@ -74,9 +73,6 @@ def synthetic_tangent_map(slope=0.1, radius=2.0):
             np.column_stack([np.ones_like(t), np.zeros_like(t)]),
         ], axis=1)
 
-    def event_time(events):
-        return events[:, 2].copy()
-
     def on_image_residual(events):
         return events[:, 1] ** 2 - events[:, 0] ** 2 - r_of(events[:, 2]) ** 2
 
@@ -85,7 +81,6 @@ def synthetic_tangent_map(slope=0.1, radius=2.0):
         target_dim=3,
         value=value,
         jacobian=jacobian,
-        event_time=event_time,
         on_image_residual=on_image_residual,
     )
 

@@ -153,13 +153,13 @@ def test_criterion_6_injectivity():
     for _ in range(100):
         t = rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0)
         base = psi_toy(ChartPoint(t, [rng.uniform(-5.0, 5.0)]))
-        if orbit_intersection_count(psi_map, base, (-20, 20), 2001, CFG) != 1:
+        if orbit_intersection_count(psi_map, base, (-20, 20), 2001) != 1:
             bad += 1
     exp_map = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), CFG)
     for _ in range(100):
         t = rng.uniform(-10.0, 10.0)
         base = exp_map.value_eval(ChartPoint(t, [rng.uniform(-5.0, 5.0)]))
-        if orbit_intersection_count(exp_map, base, (-20, 20), 2001, CFG) != 1:
+        if orbit_intersection_count(exp_map, base, (-20, 20), 2001) != 1:
             bad += 1
     distinct = check_composed_injectivity(t_count=100, x_count=100, cfg=CFG)
     _report(

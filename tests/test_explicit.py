@@ -10,6 +10,7 @@ from sigembed import (ChartPoint, ConvergenceError, DivergenceError,
                       ode_residual, t_of_theta, theta_of_t, theta_of_t_grid,
                       toy_model)
 from sigembed.config import NumericConfig
+from sigembed.explicit import EMBED_TIME_SIGN
 
 # Frozen from the kink-removing composite-Simpson oracle at 10^6 panels
 # (machine-limited; see helpers.simpson_substituted_arc).
@@ -77,7 +78,7 @@ def test_arc_integral_divergence_error():
 
 def test_t_of_theta_roundtrip(cfg):
     for t in [-5.0, -1.0, -0.1, 0.1, 1.0, 5.0]:
-        assert t_of_theta(theta_of_t(t, cfg), cfg) == pytest.approx(t, abs=1e-10)
+        assert t_of_theta(theta_of_t(t, cfg)) == pytest.approx(t, abs=1e-10)
     assert t_of_theta(0.0) == 0.0
 
 
@@ -92,7 +93,7 @@ def test_t_of_theta_tiny_theta():
 def test_t_of_theta_large_negative_consistency(cfg):
     # far down the branch the integrand is ~1, so I(theta) ~ theta
     theta = -500.0
-    t = t_of_theta(theta, cfg)
+    t = t_of_theta(theta)
     assert t == pytest.approx(-(1.5 * abs(theta)) ** (2.0 / 3.0), rel=1e-3)
 
 
@@ -128,7 +129,7 @@ def test_non_finite_input_rejected(bad, cfg):
     with pytest.raises(ValueError):
         theta_of_t(bad, cfg)
     with pytest.raises(ValueError):
-        arc_integral(bad, cfg)
+        arc_integral(bad)
 
 
 def test_theta_of_t_convergence_error():
@@ -191,11 +192,13 @@ def test_explicit_map_isometry_small_grid(cfg):
         assert r_an <= 1e-10
 
 
-def test_explicit_map_event_time_and_membership(cfg):
-    map_ = explicit_embedding_map(2, HyperbolaFamily(1.0), cfg)
+def test_explicit_map_time_roundtrip_and_membership(cfg):
+    family = HyperbolaFamily(1.0)
+    map_ = explicit_embedding_map(2, family, cfg)
     for t in [-3.0, 0.0, 0.7]:
         e = map_.value_eval(ChartPoint(t, [0.4]))
-        assert map_.event_time(e.batch())[0] == pytest.approx(t, abs=1e-9)
+        back = EMBED_TIME_SIGN * t_of_theta(e.tau + family.offset)
+        assert back == pytest.approx(t, abs=1e-9)
         assert abs(map_.on_image_residual(e.batch())[0]) <= 1e-12
     off_image = type(e)(e.tau, e.y + np.array([0.5, 0.0]))
     assert abs(map_.on_image_residual(off_image.batch())[0]) > 0.1

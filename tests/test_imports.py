@@ -1,8 +1,9 @@
-"""Every top-level import of a package module is used in that module.
+"""Every top-level import of a package module is used in that module, and
+every defaulted parameter of a package function is read by it.
 
 No linter ships with the package's test dependencies, so this walks the
-syntax tree with the standard library.  ``__init__.py`` is exempt: its
-imports are the package's re-exports.
+syntax tree with the standard library.  ``__init__.py`` is exempt from the
+import check: its imports are the package's re-exports.
 """
 
 import ast
@@ -23,14 +24,52 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _unread_defaulted_params(source):
+    """(line, function, parameter) of each defaulted parameter that its
+    function, nested functions included, never reads as a name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)}
+        found += [(node.lineno, node.name, arg.arg) for arg in defaulted
+                  if arg.arg not in read]
+    return sorted(found)
+
+
+def _package_sources():
+    return {path.name: path.read_text()
+            for path in Path(sigembed.__file__).parent.glob("*.py")}
+
+
 def test_no_unused_top_level_import():
-    unused = {path.name: _unused_imports(path.read_text())
-              for path in Path(sigembed.__file__).parent.glob("*.py")
-              if path.name != "__init__.py"}
+    unused = {name: _unused_imports(source)
+              for name, source in _package_sources().items()
+              if name != "__init__.py"}
     assert len(unused) > 1
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_no_unread_defaulted_parameter():
+    unread = {name: _unread_defaulted_params(source)
+              for name, source in _package_sources().items()}
+    assert {name: found for name, found in unread.items() if found} == {}
 
 
 def test_unused_import_is_found():
     source = "import os.path\nfrom math import pi, tau as t\n\nprint(t)\n"
     assert _unused_imports(source) == [(1, "os"), (2, "pi")]
+
+
+def test_unread_defaulted_parameter_is_found():
+    source = ("def f(a, b=1, *, c=None, d=2, e):\n    return a + d\n\n\n"
+              "def g(x=0, y=0):\n    def h(z=None):\n        return x + z\n"
+              "    return h\n")
+    assert _unread_defaulted_params(source) == [(1, "f", "b"), (1, "f", "c"),
+                                               (5, "g", "y")]

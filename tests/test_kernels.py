@@ -55,7 +55,7 @@ def mp_theta(t, start):
 # still resolve; the mpmath oracle below goes much closer.
 @pytest.mark.parametrize("theta", [0.0, 0.1, -0.5, 0.69, -50.0, 0.705, -666.8])
 def test_numpy_backend_against_oracle(theta):
-    values, status = kernels.arc_integral_batch(np.array([theta]), CFG)
+    values, status = kernels.arc_integral_batch(np.array([theta]))
     assert status[0] == 0
     oracle = simpson_substituted_arc(theta, n=200_001)
     assert values[0] == pytest.approx(oracle, abs=1e-9, rel=1e-9)
@@ -80,7 +80,7 @@ SEAM = kernels.ARC_SEAM
     0.1, 0.69, 0.7071, -1.0, -666.8, -1e4,
 ])
 def test_arc_integral_against_mpmath(theta):
-    value = kernels.arc_integral_batch(np.array([theta]), CFG)[0][0]
+    value = kernels.arc_integral_batch(np.array([theta]))[0][0]
     ref = mp_arc(theta)
     # rounding theta itself moves I by |theta I'(theta)/I(theta)| ulps
     slope = mp.sqrt(abs(4 / (mp.sqrt(2) - 2 * mp.mpf(theta)) ** 4 - 1))
@@ -142,17 +142,17 @@ def test_batch_wrappers_match_scalar():
         single, st = kernels.theta_root_batch(np.array([t]), CFG)
         assert st.tolist() == [0]
         assert single[0] == th
-    values, status = kernels.arc_integral_batch(thetas, CFG)
+    values, status = kernels.arc_integral_batch(thetas)
     assert (status == 0).all()
     for th, v in zip(thetas, values):
-        single, st = kernels.arc_integral_batch(np.array([th]), CFG)
+        single, st = kernels.arc_integral_batch(np.array([th]))
         assert st.tolist() == [0]
         assert single[0] == v
 
 
 def test_arc_status_marks_pole_and_non_finite():
     thetas = np.array([0.3, kernels.THETA_POLE, 1.0, np.nan, -np.inf])
-    values, status = kernels.arc_integral_batch(thetas, CFG)
+    values, status = kernels.arc_integral_batch(thetas)
     assert status.tolist() == [0, 1, 1, 1, 1]
     assert np.isfinite(values[0]) and np.isnan(values[1:]).all()
 

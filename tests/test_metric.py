@@ -117,6 +117,16 @@ def test_classify_zero_band_is_relative():
         signature_class is SignatureClass.LORENTZIAN
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_classify_rejects_tol_outside_positive_reals(tol):
+    # nan and inf bands used to classify every point as degenerate
+    m = toy_model(2)
+    with pytest.raises(PreconditionError, match="tol"):
+        classify_signature(m, ChartPoint(1, [0]), tol)
+    with pytest.raises(PreconditionError, match="tol"):
+        classify_signature_grid(m, np.array([[1.0, 0.0]]), tol)
+
+
 def test_classify_rejects_two_time_directions():
     m = MetricModel(2, lambda c: np.array([np.diag([-1.0, -1.0])] * len(c)))
     with pytest.raises(PreconditionError):
@@ -130,7 +140,7 @@ def test_classify_grid_matches_pointwise():
     ])
     classes, neg, zero, pos = classify_signature_grid(m, coords)
     for c, row in zip(classes, coords):
-        assert c is classify_signature(m, ChartPoint.from_coords(row)).signature_class
+        assert c == classify_signature(m, ChartPoint.from_coords(row)).signature_class
     assert (neg + zero + pos == 3).all()
 
 
@@ -208,7 +218,7 @@ def test_block_classes_match_full_matrix(data, n, m, tol):
     in_range = ((np.abs(lam) >= 1e-100) & (np.abs(lam) <= 1e100)).all(axis=1)
     for k in np.flatnonzero(keep):
         report = classify_signature(model, ChartPoint.from_coords(coords[k]), tol)
-        assert report.signature_class is classes[k]
+        assert report.signature_class == classes[k]
         assert (report.negative_count, report.zero_count, report.positive_count) == (
             neg[k], zero[k], pos[k])
         if diagonal[k] and in_range[k]:

@@ -10,6 +10,7 @@ from sigembed import (CapabilityError, ChartPoint, HyperbolaFamily,
                       orbit_intersection_count, psi_toy, psi_toy_map,
                       tangency_residual, toy_tangency_poly)
 from sigembed.misner import boost_tau_y1, source_embedding_map
+from sigembed import transversality
 from sigembed.transversality import _killing
 from sigembed.verify import PSI_REGION_T_MIN
 
@@ -108,26 +109,26 @@ def test_ls_residual_sign_preserved_under_boost():
         assert tangency_residual(boosted_frame_map(map_, s), p) > 1e-4
 
 
-def test_orbit_profile_synthetic_tangent(cfg):
+def test_orbit_profile_synthetic_tangent():
     # negative control: the orbit runs inside the image, so every scan
     # node is on it and the count cannot be the single crossing
     sm = synthetic_tangent_map()
     base = sm.value_eval(ChartPoint(0.5, [0.3]))
-    count = orbit_intersection_count(sm, base, (-3, 3), 301, cfg)
+    count = orbit_intersection_count(sm, base, (-3, 3), 301)
     assert count != 1
     assert count == 301
 
 
-def test_orbit_count_examples(cfg):
+def test_orbit_count_examples():
     map_ = psi_toy_map(2)
     rng = np.random.default_rng(8)
     for _ in range(10):
         t = rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0)
         base = psi_toy(ChartPoint(t, [rng.uniform(-5, 5)]))
-        assert orbit_intersection_count(map_, base, (-20, 20), 2001, cfg) == 1
+        assert orbit_intersection_count(map_, base, (-20, 20), 2001) == 1
     # a base off the image crosses nothing
     assert orbit_intersection_count(
-        map_, MinkowskiEvent(0.0, [2.0, 0.0]), (-20, 20), 2001, cfg
+        map_, MinkowskiEvent(0.0, [2.0, 0.0]), (-20, 20), 2001
     ) == 0
 
 
@@ -135,36 +136,69 @@ def test_orbit_count_explicit(cfg):
     map_ = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg)
     for t in [-5.0, -0.2, 0.0, 1.7]:
         base = map_.value_eval(ChartPoint(t, [0.3]))
-        assert orbit_intersection_count(map_, base, (-20, 20), 2001, cfg) == 1
+        assert orbit_intersection_count(map_, base, (-20, 20), 2001) == 1
 
 
-def test_orbit_requires_capability(cfg):
+def test_orbit_requires_capability():
     from sigembed.minkowski import EmbeddingMap
 
     bare = EmbeddingMap(2, 3, lambda c: np.column_stack([c[:, 0], c[:, 0] + 1.0,
                                                          c[:, 1]]))
     with pytest.raises(CapabilityError):
         orbit_intersection_count(bare, MinkowskiEvent(0.0, [1.0, 0.0]),
-                                 (-1, 1), 11, cfg)
+                                 (-1, 1), 11)
 
 
-def test_orbit_count_needs_only_the_residual(cfg):
-    # scans read on_image_residual alone; a map without event_time counts
-    map_ = dataclasses.replace(psi_toy_map(2), event_time=None)
-    assert orbit_intersection_count(map_, psi_toy(ChartPoint(1.0, [0.5])),
-                                    cfg=cfg) == 1
+def test_orbit_count_needs_only_the_residual():
+    # scans read on_image_residual alone; a map without a Jacobian counts
+    map_ = dataclasses.replace(psi_toy_map(2), jacobian=None)
+    assert orbit_intersection_count(map_, psi_toy(ChartPoint(1.0, [0.5]))) == 1
 
 
-def test_orbit_base_outside_region(cfg):
+def test_orbit_base_outside_region():
     map_ = psi_toy_map(2)
     with pytest.raises(RegionError):
-        orbit_intersection_count(map_, MinkowskiEvent(1.0, [0.0, 0.0]), (-1, 1),
-                                 11, cfg)
+        orbit_intersection_count(map_, MinkowskiEvent(1.0, [0.0, 0.0]), (-1, 1), 11)
 
 
 @pytest.mark.parametrize("samples", [0, 1])
-def test_orbit_count_rejects_fewer_than_two_samples(samples, cfg):
+def test_orbit_count_rejects_fewer_than_two_samples(samples):
     map_ = psi_toy_map(2)
     base = psi_toy(ChartPoint(1.0, [0.5]))
     with pytest.raises(PreconditionError, match="samples must be >= 2"):
-        orbit_intersection_count(map_, base, (-10, 10), samples, cfg)
+        orbit_intersection_count(map_, base, (-10, 10), samples)
+
+
+def _boosted(event, s):
+    tau, y1 = boost_tau_y1(event.tau, float(event.y[0]), s)
+    return MinkowskiEvent(tau, np.concatenate(([y1], event.y[1:])))
+
+
+@pytest.mark.parametrize("s_range", [(20.0, -20.0), (5.0, 5.0), (np.nan, 20.0),
+                                     (-20.0, np.nan), (-np.inf, 20.0), (-20.0, np.inf)])
+def test_orbit_count_rejects_bad_s_range(s_range):
+    # a reversed window stopped the bisection after one step and counted 0
+    map_ = psi_toy_map(2)
+    base = _boosted(psi_toy(ChartPoint(1.0, [0.5])), 0.0137)
+    with pytest.raises(PreconditionError, match="s_range"):
+        orbit_intersection_count(map_, base, s_range, 2001)
+
+
+@pytest.mark.parametrize("source", ["psi_toy", "explicit"])
+def test_orbit_count_bisects_off_grid_crossing(source, cfg, monkeypatch):
+    # boosting an image point by an off-grid rapidity puts the crossing at
+    # s = -0.0137, between two scan nodes, so only the bisection finds it
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), cfg)
+    base = _boosted(map_.value_eval(ChartPoint(1.0, [0.5])), 0.0137)
+    calls = []
+    residual_at = transversality._residual_at
+
+    def spy(map_, base, s):
+        calls.append(s)
+        return residual_at(map_, base, s)
+
+    monkeypatch.setattr(transversality, "_residual_at", spy)
+    assert orbit_intersection_count(map_, base, (-20.0, 20.0), 2001) == 1
+    assert len(calls) > 2 and abs(calls[-1] + 0.0137) < 1e-12
+    assert orbit_intersection_count(map_, base, (1.0, 20.0), 2001) == 0
+    assert orbit_intersection_count(map_, base, (-20.0, -1.0), 2001) == 0
