@@ -27,7 +27,8 @@ from .explicit import (HyperbolaFamily, arc_integral, asymptotic_theta,
 from .misner import (MisnerEvent, compose_embedding, from_misner,
                      misner_metric, quotient_isometry_residual,
                      source_embedding_map, to_misner)
-from .transversality import (orbit_intersection_count, tangency_residual,
+from .transversality import (orbit_intersection_count,
+                             orbit_intersection_count_grid, tangency_residual,
                              toy_tangency_poly)
 from .modelfile import load_model, model_from_dict
 

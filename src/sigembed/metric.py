@@ -107,7 +107,8 @@ def toy_model(n=2):
         raise ValueError(f"dimension must be >= 2, got {n}")
 
     def components(coords):
-        g = np.broadcast_to(np.eye(n), (coords.shape[0], n, n)).copy()
+        g = np.zeros((coords.shape[0], n, n))
+        g[:, range(1, n), range(1, n)] = 1.0
         g[:, 0, 0] = -coords[:, 0]
         return g
 
@@ -176,10 +177,14 @@ def _spatial_eigenvalues(block):
     return eig
 
 
-def _signature_grid(model, coords, tol):
-    # block form: eigenvalues g_tt and the spatial block's, one row each
+def _require_tol(tol):
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tol must be positive and finite, got {tol}")
+
+
+def _signature_grid(model, coords, tol):
+    # block form: eigenvalues g_tt and the spatial block's, one row each
+    _require_tol(tol)
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
     eig = np.stack([g[:, 0, 0], *_spatial_eigenvalues(g[:, 1:, 1:]).T])
@@ -270,6 +275,7 @@ def radical_transversality_grid(model, coords, tol=1e-10, cfg=None):
     ``is_transverse`` is vacuously true off the degeneracy locus; on it
     (|det| <= tol) the determinant gradient must not vanish.
     """
+    _require_tol(tol)
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
     det = np.linalg.det(g)
@@ -301,6 +307,7 @@ def lc_regularity_grid(model, coords, directions, tol=1e-9, cfg=None):
     (d_kappa g_{mu nu}) v^mu v^nu; the caller must supply nonzero v with
     |G(p, v)| <= tol.
     """
+    _require_tol(tol)
     coords = np.asarray(coords, dtype=float)
     v = np.asarray(directions, dtype=float)
     if v.shape != (coords.shape[0], model.dimension):

@@ -173,15 +173,24 @@ def map_jacobian(map_, p, mode="analytic", cfg=None):
 
 
 def _pullback_gram(jac):
-    # J^T eta J and the Gram screen of (m, N, n) Jacobians, one pass over J's rows
-    gram, back = np.zeros((2, len(jac), jac.shape[2], jac.shape[2]))
-    for i in range(jac.shape[1]):
-        outer = jac[:, i, :, None] * jac[:, i, None, :]
-        gram += outer
-        back += -outer if i == 0 else outer
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    radius = np.abs(gram).sum(axis=2) - diag
-    return back, (diag - radius).min(axis=1) > _GRAM_MARGIN * (diag + radius).max(axis=1)
+    # J^T eta J and the Gram screen of (m, N, n) Jacobians, component-major: entry
+    # (a, b) sums m-vectors over J's rows i from zeros, bitwise a row loop's sum
+    m, big_n, n = jac.shape
+    cols = np.ascontiguousarray(jac.transpose(1, 2, 0))
+    back, abs_gram = np.empty((m, n, n)), np.empty((n, n, m))
+    for a, b in zip(*np.triu_indices(n)):
+        gram, entry = np.zeros((2, m))
+        for i in range(big_n):
+            outer = cols[i, a] * cols[i, b]
+            gram += outer
+            entry += -outer if i == 0 else outer
+        back[:, a, b] = back[:, b, a] = entry
+        abs_gram[a, b] = abs_gram[b, a] = np.abs(gram)
+    # Gershgorin radii sum_b |G_ab| - G_aa, summed in b's order
+    diag = abs_gram[range(n), range(n)]
+    radius = sum(abs_gram.transpose(1, 0, 2)[1:], abs_gram[:, 0]) - diag
+    low, high = np.minimum.reduce(diag - radius), np.maximum.reduce(diag + radius)
+    return back, low > _GRAM_MARGIN * high
 
 
 def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
@@ -200,8 +209,8 @@ def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
         )
     coords = np.asarray(coords, dtype=float)
     jac = jacobian_grid(map_, coords, mode, cfg)
-    finite = np.isfinite(jac).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(jac).all():
+        finite = np.isfinite(jac).all(axis=(1, 2))
         raise EvaluationError(f"non-finite embedding Jacobian at {coords[~finite][0]}")
     back, certified = _pullback_gram(jac)
     # rows off the Gram screen take the SVD rank test

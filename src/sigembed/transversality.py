@@ -6,7 +6,8 @@ never lies in the span of the embedding Jacobian.  For the canonical-model
 embedding the tangency obstruction reduces to the quadratic 2 t^2 + t + 2,
 whose negative discriminant rules tangency out for every real t.  Orbit
 intersections with an image are located by sign-change isolation of the
-image-membership residual along the boost parameter.
+image-membership residual along the boost parameter, for k orbits at once
+on one rapidity grid; the one-orbit scan is a batch of one.
 """
 
 import warnings
@@ -78,22 +79,15 @@ def toy_tangency_poly(t):
     return 2.0 * t * t + t + 2.0, -15.0
 
 
-def _orbit_events(base, s):
-    """Events boost(base, s) for an array of rapidities s, as (m, N)."""
-    events = np.repeat(base.coords()[None, :], np.size(s), axis=0)
-    events[:, 0], events[:, 1] = boost_tau_y1(base.tau, float(base.y[0]), s)
-    return events
-
-
-def _require_orbit_capable(map_, base):
-    if map_.on_image_residual is None:
-        raise CapabilityError("orbit scans need the map's on_image_residual")
-    # orbits preserve the half-space
-    require_region(base.tau, base.y[0])
+def _orbit_events(bases, s):
+    """Events boost(base, s) of (k, N) bases at rapidities s, as (k, len(s), N)."""
+    tau, y1 = boost_tau_y1(bases[:, :1], bases[:, 1:2], s)
+    spect = np.broadcast_to(bases[:, None, 2:], tau.shape + (bases.shape[1] - 2,))
+    return np.concatenate([tau[..., None], y1[..., None], spect], axis=-1)
 
 
 def _residual_at(map_, base, s):
-    return float(map_.on_image_residual(_orbit_events(base, np.array([s])))[0])
+    return float(map_.on_image_residual(_orbit_events(base[None], np.array([s]))[0])[0])
 
 
 def _refine_root(map_, base, s_lo, s_hi, r_lo, iters=100):
@@ -113,37 +107,14 @@ def _refine_root(map_, base, s_lo, s_hi, r_lo, iters=100):
     return 0.5 * (s_lo + s_hi)
 
 
-def _scan_intersections(map_, base, s_grid, residuals):
-    ds = s_grid[1] - s_grid[0]
-    finite = np.isfinite(residuals)
-    on_node = finite & (np.abs(residuals) <= MEMBERSHIP_TOL)
-    roots = [float(s) for s in s_grid[on_node]]
-    # sign changes between finite nodes not already collected as roots
-    sign_change = ((residuals[:-1] < 0.0) != (residuals[1:] < 0.0)) & (
-        finite[:-1] & finite[1:] & ~on_node[:-1] & ~on_node[1:])
-    for i in np.flatnonzero(sign_change):
-        s_star = _refine_root(map_, base, s_grid[i], s_grid[i + 1], residuals[i])
-        if s_star is None:
-            continue
-        r_star = _residual_at(map_, base, s_star)
-        # pole crossings refine to a sign change with a large residual
-        if np.isfinite(r_star) and abs(r_star) <= MEMBERSHIP_TOL:
-            roots.append(float(s_star))
-    roots.sort()
-    merged = []
-    for s in roots:
-        if not merged or s - merged[-1] > 0.5 * ds:
-            merged.append(s)
-    return merged
-
-
-def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001):
-    """Number of isolated boost parameters at which the orbit through
-    ``base`` lies on the embedded image, from a scan of ``samples`` >= 2
-    rapidities over a finite ``s_range`` = (lo, hi) with lo < hi.
-
-    The base must lie in the half-space y1 - tau > 0 (orbits preserve it);
-    the map must expose an ``on_image_residual`` evaluator.
+def orbit_intersection_count_grid(map_, bases, s_range=(-20.0, 20.0), samples=2001):
+    """(k,) numbers of isolated boost parameters at which the orbits through
+    the rows of the (k, N) event array ``bases`` lie on the embedded image,
+    from one scan of ``samples`` >= 2 rapidities over a finite ``s_range`` =
+    (lo, hi), lo < hi; only rows with a residual sign change are bisected.
+    The bases must lie in the half-space y1 - tau > 0, which orbits preserve
+    (RegionError names the first one outside); the map must expose an
+    ``on_image_residual`` evaluator.
     """
     samples = int(samples)
     if samples < 2:
@@ -151,8 +122,36 @@ def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001):
     lo, hi = float(s_range[0]), float(s_range[1])
     if not (lo < hi and np.isfinite([lo, hi]).all()):
         raise PreconditionError(f"s_range must be finite with lo < hi, got {s_range}")
-    _require_orbit_capable(map_, base)
+    if map_.on_image_residual is None:
+        raise CapabilityError("orbit scans need the map's on_image_residual")
+    bases = np.asarray(bases, dtype=float)
+    require_region(bases[:, 0], bases[:, 1])
     s_grid = np.linspace(lo, hi, samples)
-    residuals = np.asarray(map_.on_image_residual(_orbit_events(base, s_grid)),
-                           dtype=float)
-    return len(_scan_intersections(map_, base, s_grid, residuals))
+    events = _orbit_events(bases, s_grid).reshape(-1, bases.shape[1])
+    residuals = np.asarray(map_.on_image_residual(events), dtype=float)
+    residuals = residuals.reshape(-1, samples)
+    on_node = np.abs(residuals) <= MEMBERSHIP_TOL
+    # sign changes between finite nodes not already collected as roots
+    off_node = np.isfinite(residuals) & ~on_node
+    sign_change = np.diff(residuals < 0.0, axis=1) & off_node[:, :-1] & off_node[:, 1:]
+    # without a sign change the on-node samples are the roots, ds apart
+    counts = np.count_nonzero(on_node, axis=1)
+    for k in np.flatnonzero(sign_change.any(axis=1)):
+        roots = list(s_grid[on_node[k]])
+        for i in np.flatnonzero(sign_change[k]):
+            s = _refine_root(map_, bases[k], s_grid[i], s_grid[i + 1],
+                             residuals[k, i])
+            # pole crossings refine to a sign change with a large residual
+            if s is not None and abs(_residual_at(map_, bases[k], s)) <= MEMBERSHIP_TOL:
+                roots.append(s)
+        merged = []
+        for s in sorted(roots):
+            if not merged or s - merged[-1] > 0.5 * (s_grid[1] - s_grid[0]):
+                merged.append(s)
+        counts[k] = len(merged)
+    return counts
+
+
+def orbit_intersection_count(map_, base, s_range=(-20.0, 20.0), samples=2001):
+    """orbit_intersection_count_grid for one MinkowskiEvent ``base``."""
+    return int(orbit_intersection_count_grid(map_, base.batch(), s_range, samples)[0])

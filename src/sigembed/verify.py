@@ -14,7 +14,7 @@ from .config import NumericConfig, central_diff, fd_steps
 from .errors import RegionError
 from .metric import (classify_signature_grid, eval_metric_grid, lc_regularity_grid,
                      radical_transversality_grid, slice_metric_grid, toy_model)
-from .minkowski import MinkowskiEvent, isometry_residual_grid, psi_toy_map
+from .minkowski import isometry_residual_grid, psi_toy_map
 from .misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1, canonical_phi,
                      misner_metric, quotient_isometry_residual_grid,
                      quotient_jacobian, quotient_map_coords, representative_coords,
@@ -22,7 +22,7 @@ from .misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1, canonical_phi,
 from .explicit import (HyperbolaFamily, asymptotic_theta, embed_explicit_grid,
                        ode_residual_grid, t_of_theta_grid, theta_of_t,
                        theta_of_t_grid)
-from .transversality import (orbit_intersection_count, tangency_residual_grid,
+from .transversality import (orbit_intersection_count_grid, tangency_residual_grid,
                              toy_tangency_poly)
 
 # Scan-derived lower bound for the canonical-model tangency residual over
@@ -32,6 +32,10 @@ TANGENCY_RESIDUAL_FLOOR = 0.45
 # Start of the t-range on which the canonical-model embedding lands inside
 # the quotient half-space (root of t + (2/3)(1+t)^(3/2) = 0).
 PSI_REGION_T_MIN = -0.3496481839617198
+
+# Rows per block of the large sweeps (grid points, or orbit-scan samples);
+# bounds their (m, n, n) temporaries.  Blocking moves no result.
+_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,12 @@ class CheckResult:
             "max_residual": float(self.max_residual),
             "grid": self.grid,
         }
+
+
+def _blocks(count, rows_each=1):
+    # slices of range(count), _BLOCK_ROWS rows (at least one item) each
+    step = max(1, _BLOCK_ROWS // rows_each)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _grid_coords(n, t_range, x_range, t_count, x_count):
@@ -104,7 +114,8 @@ def check_isometry_psi(n=2, mode="finite_difference", t_count=200, x_count=50,
     coords = _grid_coords(n, (-0.99, 10.0), (-5.0, 5.0), t_count, x_count)
     return CheckResult.within(
         f"isometry_psi_n{n}_{mode}",
-        isometry_residual_grid(map_, model, coords, mode, cfg), tol,
+        max(isometry_residual_grid(map_, model, coords[block], mode, cfg)
+            for block in _blocks(len(coords), 2 * n)), tol,
         f"t in [-0.99, 10] x{t_count}, x in [-5, 5] x{x_count}, n={n}")
 
 
@@ -112,9 +123,14 @@ def _signature_mismatches(model, ts, x, tol=1e-10):
     """Points of a t-sweep at spatial coordinates x whose class code is not
     sign(t) (Riemannian, degenerate, Lorentzian), and the zero-eigenvalue
     counts."""
-    coords = np.column_stack([ts] + [np.full(ts.size, x)] * (model.dimension - 1))
-    codes, _, zero, _ = classify_signature_grid(model, coords, tol)
-    return int(np.count_nonzero(codes != np.sign(ts))), zero
+    mismatches, zeros = 0, []
+    for block in _blocks(ts.size):
+        t = ts[block]
+        coords = np.column_stack([t] + [np.full(t.size, x)] * (model.dimension - 1))
+        codes, _, zero, _ = classify_signature_grid(model, coords, tol)
+        mismatches += int(np.count_nonzero(codes != np.sign(t)))
+        zeros.append(zero)
+    return mismatches, np.concatenate(zeros)
 
 
 def check_signature_sweep(n=2, count=100_000, tol=1e-10):
@@ -126,20 +142,37 @@ def check_signature_sweep(n=2, count=100_000, tol=1e-10):
                               ok=np.all(zero[ts == 0] == 1))
 
 
-def _lc_failures(model, rng, samples, x_span, cfg=None):
-    """Seeded null directions on t = 0 at which light-cone regularity fails.
+def _lc_draws(rng, samples, n, x_span):
+    """Points (0, x) and directions (a, 0, ...) of the per-draw loop x =
+    rng.uniform(-x_span, x_span, n - 1), a = rng.uniform(0.5, 2.0) *
+    rng.choice([-1.0, 1.0]), bitwise, from PCG64's 64-bit words w: a uniform
+    is lo + (hi - lo) (w >> 11) 2^-53, a choice the top bit of a 32-bit
+    half-word, low half first, the high half held for the next choice."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    # a draw takes n words, and one more when no half-word is held
+    fresh = (np.arange(samples) + state["has_uint32"]) % 2 == 0
+    ends = np.cumsum(n + fresh)
+    words = bitgen.random_raw(ends[-1])
+    unit = (words[(ends - n - fresh)[:, None] + np.arange(n)] >> 11) * 2.0 ** -53
+    halves = words[ends[fresh] - 1].astype("<u8").view("<u4")  # low half first
+    if state["has_uint32"]:
+        halves = np.insert(halves, 0, state["uinteger"])
+    bitgen.state = {**bitgen.state, "has_uint32": int(halves.size > samples),
+                    "uinteger": int(halves[-1])}
+    coords, directions = np.zeros((2, samples, n))
+    coords[:, 1:] = -x_span + (x_span - -x_span) * unit[:, :-1]
+    directions[:, 0] = ((0.5 + (2.0 - 0.5) * unit[:, -1])
+                        * (2.0 * (halves[:samples] >> 31) - 1.0))
+    return coords, directions
 
-    On the degeneracy locus the null directions span the radical
-    (a, 0, ..., 0), for any positive-definite spatial block.
-    """
-    n = model.dimension
-    coords = np.zeros((samples, n))
-    directions = np.zeros((samples, n))
-    for k in range(samples):
-        coords[k, 1:] = rng.uniform(-x_span, x_span, size=n - 1)
-        directions[k, 0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-    regular = lc_regularity_grid(model, coords, directions, 1e-9, cfg)
-    return int(np.count_nonzero(~regular))
+
+def _lc_failures(model, rng, samples, x_span, cfg=None):
+    """Seeded null directions on t = 0 at which light-cone regularity fails;
+    there they span the radical, for any positive-definite spatial block."""
+    coords, directions = _lc_draws(rng, samples, model.dimension, x_span)
+    return int(np.count_nonzero(~lc_regularity_grid(model, coords, directions,
+                                                    1e-9, cfg)))
 
 
 def _locus_points(rng, samples, n, x_span):
@@ -317,12 +350,12 @@ def check_orbit_injectivity(bases_per_map=12, samples=2001, seed=37, cfg=None):
     scans = [(psi_toy_map(2), PSI_REGION_T_MIN + 1e-3),
              (source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg), -10.0)]
     for map_, t_lo in scans:
-        # chart points (t, x) of the bases, drawn row by row
-        points = rng.uniform([t_lo, -5.0], [10.0, 5.0], size=(bases_per_map, 2))
-        for base in map_.value(points):
-            count = orbit_intersection_count(map_, MinkowskiEvent.from_coords(base),
-                                             (-20, 20), samples)
-            worst = max(worst, abs(count - 1))
+        # bases at chart points (t, x), drawn row by row
+        bases = map_.value(rng.uniform([t_lo, -5.0], [10.0, 5.0], (bases_per_map, 2)))
+        for block in _blocks(bases_per_map, samples):
+            counts = orbit_intersection_count_grid(map_, bases[block], (-20, 20),
+                                                   samples)
+            worst = max(worst, int(np.abs(counts - 1).max()))
     return CheckResult.from_failures(
         "orbit_intersection_counts", worst,
         f"{2 * bases_per_map} on-image bases, s in [-20, 20] x{samples}")

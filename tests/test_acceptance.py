@@ -15,9 +15,9 @@ import pytest
 from helpers import synthetic_tangent_map
 
 from sigembed import (ChartPoint, HyperbolaFamily, MisnerEvent, from_misner,
-                      isometry_residual_grid, orbit_intersection_count,
-                      psi_toy, psi_toy_map, tangency_residual, to_misner,
-                      toy_model, toy_tangency_poly)
+                      isometry_residual_grid, orbit_intersection_count_grid,
+                      psi_toy_map, tangency_residual, to_misner, toy_model,
+                      toy_tangency_poly)
 from sigembed.config import NumericConfig
 from sigembed.misner import TWO_PI, source_embedding_map
 from sigembed.verify import (PSI_REGION_T_MIN, TANGENCY_RESIDUAL_FLOOR,
@@ -149,18 +149,14 @@ def test_criterion_5_transversality():
 def test_criterion_6_injectivity():
     rng = np.random.default_rng(43)
     psi_map = psi_toy_map(2)
-    bad = 0
-    for _ in range(100):
-        t = rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0)
-        base = psi_toy(ChartPoint(t, [rng.uniform(-5.0, 5.0)]))
-        if orbit_intersection_count(psi_map, base, (-20, 20), 2001) != 1:
-            bad += 1
     exp_map = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), CFG)
-    for _ in range(100):
-        t = rng.uniform(-10.0, 10.0)
-        base = exp_map.value_eval(ChartPoint(t, [rng.uniform(-5.0, 5.0)]))
-        if orbit_intersection_count(exp_map, base, (-20, 20), 2001) != 1:
-            bad += 1
+    bad = 0
+    for map_, t_lo in [(psi_map, PSI_REGION_T_MIN + 1e-3), (exp_map, -10.0)]:
+        # t then x for each base, in the order of a per-base loop
+        chart = [[rng.uniform(t_lo, 10.0), rng.uniform(-5.0, 5.0)] for _ in range(100)]
+        counts = orbit_intersection_count_grid(map_, map_.value(np.array(chart)),
+                                               (-20, 20), 2001)
+        bad += int(np.count_nonzero(counts != 1))
     distinct = check_composed_injectivity(t_count=100, x_count=100, cfg=CFG)
     _report(
         6, bad == 0 and distinct.passed,

@@ -11,7 +11,8 @@ from sigembed import (ChartPoint, EvaluationError, MetricModel,
                       isometry_residual_grid, lc_regularity_at,
                       metric_derivatives, psi_toy_map, radical_transversality,
                       slice_metric, toy_model)
-from sigembed.metric import slice_metric_grid
+from sigembed.metric import (lc_regularity_grid, radical_transversality_grid,
+                             slice_metric_grid)
 
 
 def test_eval_metric_canonical_values():
@@ -125,6 +126,17 @@ def test_classify_rejects_tol_outside_positive_reals(tol):
         classify_signature(m, ChartPoint(1, [0]), tol)
     with pytest.raises(PreconditionError, match="tol"):
         classify_signature_grid(m, np.array([[1.0, 0.0]]), tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_radical_and_lc_reject_tol_outside_positive_reals(tol):
+    # nan and inf read every point as non-transverse and every null
+    # direction as irregular, (1, 0.3) off the locus included
+    m = toy_model(2)
+    with pytest.raises(PreconditionError, match="tol"):
+        radical_transversality_grid(m, np.array([[0.0, 0.3], [1.0, 0.3]]), tol)
+    with pytest.raises(PreconditionError, match="tol"):
+        lc_regularity_grid(m, np.array([[0.0, 0.3]]), np.array([[1.0, 0.0]]), tol)
 
 
 def test_classify_rejects_two_time_directions():

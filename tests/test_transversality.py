@@ -1,13 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import boosted_frame_map, synthetic_tangent_map
 
 from sigembed import (CapabilityError, ChartPoint, HyperbolaFamily,
                       MinkowskiEvent, PreconditionError, RegionError,
-                      orbit_intersection_count, psi_toy, psi_toy_map,
+                      orbit_intersection_count, orbit_intersection_count_grid,
+                      psi_toy, psi_toy_map,
                       tangency_residual, toy_tangency_poly)
 from sigembed.misner import boost_tau_y1, source_embedding_map
 from sigembed import transversality
@@ -122,10 +126,9 @@ def test_orbit_profile_synthetic_tangent():
 def test_orbit_count_examples():
     map_ = psi_toy_map(2)
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        t = rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0)
-        base = psi_toy(ChartPoint(t, [rng.uniform(-5, 5)]))
-        assert orbit_intersection_count(map_, base, (-20, 20), 2001) == 1
+    bases = [psi_toy(ChartPoint(rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0),
+                                [rng.uniform(-5, 5)])).coords() for _ in range(10)]
+    assert (orbit_intersection_count_grid(map_, bases, (-20, 20), 2001) == 1).all()
     # a base off the image crosses nothing
     assert orbit_intersection_count(
         map_, MinkowskiEvent(0.0, [2.0, 0.0]), (-20, 20), 2001
@@ -134,9 +137,8 @@ def test_orbit_count_examples():
 
 def test_orbit_count_explicit(cfg):
     map_ = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg)
-    for t in [-5.0, -0.2, 0.0, 1.7]:
-        base = map_.value_eval(ChartPoint(t, [0.3]))
-        assert orbit_intersection_count(map_, base, (-20, 20), 2001) == 1
+    bases = map_.value(np.array([[t, 0.3] for t in [-5.0, -0.2, 0.0, 1.7]]))
+    assert (orbit_intersection_count_grid(map_, bases, (-20, 20), 2001) == 1).all()
 
 
 def test_orbit_requires_capability():
@@ -147,6 +149,8 @@ def test_orbit_requires_capability():
     with pytest.raises(CapabilityError):
         orbit_intersection_count(bare, MinkowskiEvent(0.0, [1.0, 0.0]),
                                  (-1, 1), 11)
+    with pytest.raises(CapabilityError):
+        orbit_intersection_count_grid(bare, [[0.0, 1.0, 0.0]], (-1, 1), 11)
 
 
 def test_orbit_count_needs_only_the_residual():
@@ -159,6 +163,11 @@ def test_orbit_base_outside_region():
     map_ = psi_toy_map(2)
     with pytest.raises(RegionError):
         orbit_intersection_count(map_, MinkowskiEvent(1.0, [0.0, 0.0]), (-1, 1), 11)
+    # the error names the first base outside the half-space
+    bases = [[0.0, 2.0, 0.0], [0.5, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    with pytest.raises(RegionError) as info:
+        orbit_intersection_count_grid(map_, bases, (-1, 1), 11)
+    assert info.value.index == 2 and (info.value.tau, info.value.y1) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("samples", [0, 1])
@@ -167,6 +176,8 @@ def test_orbit_count_rejects_fewer_than_two_samples(samples):
     base = psi_toy(ChartPoint(1.0, [0.5]))
     with pytest.raises(PreconditionError, match="samples must be >= 2"):
         orbit_intersection_count(map_, base, (-10, 10), samples)
+    with pytest.raises(PreconditionError, match="samples must be >= 2"):
+        orbit_intersection_count_grid(map_, base.batch(), (-10, 10), samples)
 
 
 def _boosted(event, s):
@@ -182,6 +193,8 @@ def test_orbit_count_rejects_bad_s_range(s_range):
     base = _boosted(psi_toy(ChartPoint(1.0, [0.5])), 0.0137)
     with pytest.raises(PreconditionError, match="s_range"):
         orbit_intersection_count(map_, base, s_range, 2001)
+    with pytest.raises(PreconditionError, match="s_range"):
+        orbit_intersection_count_grid(map_, base.batch(), s_range, 2001)
 
 
 @pytest.mark.parametrize("source", ["psi_toy", "explicit"])
@@ -202,3 +215,44 @@ def test_orbit_count_bisects_off_grid_crossing(source, cfg, monkeypatch):
     assert len(calls) > 2 and abs(calls[-1] + 0.0137) < 1e-12
     assert orbit_intersection_count(map_, base, (1.0, 20.0), 2001) == 0
     assert orbit_intersection_count(map_, base, (-20.0, -1.0), 2001) == 0
+
+
+def _per_base_count(map_, base, s_range, samples):
+    """The scan one base at a time: on-node roots and every bisected sign
+    change, merged within half a grid step."""
+    s_grid = np.linspace(s_range[0], s_range[1], samples)
+    r = map_.on_image_residual(transversality._orbit_events(base[None], s_grid)[0])
+    r, tol = r.tolist(), transversality.MEMBERSHIP_TOL
+    roots = [s for s, v in zip(s_grid, r) if abs(v) <= tol]
+    for i in range(samples - 1):
+        a, b = r[i], r[i + 1]
+        if (all(tol < abs(v) < math.inf for v in (a, b)) and (a < 0.0) != (b < 0.0)):
+            s = transversality._refine_root(map_, base, s_grid[i], s_grid[i + 1], a)
+            if s is not None and abs(transversality._residual_at(map_, base, s)) <= tol:
+                roots.append(s)
+    merged = []
+    for s in sorted(roots):
+        if not merged or s - merged[-1] > 0.5 * (s_grid[1] - s_grid[0]):
+            merged.append(s)
+    return len(merged)
+
+
+@settings(max_examples=15, deadline=None)
+@given(source=st.sampled_from(["psi_toy", "explicit"]),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0),
+                                 st.floats(-3.0, 3.0)), min_size=1, max_size=5),
+       s_range=st.sampled_from([(-20.0, 20.0), (1.0, 20.0), (-20.0, -1.0), (-2.0, 3.0)]),
+       samples=st.sampled_from([2, 101, 2001]))
+def test_orbit_count_grid_matches_per_base_scan(source, points, s_range, samples):
+    # image points boosted by an off-grid rapidity s0 cross at s = -s0, off
+    # the nodes and possibly outside the window; two bases off the image
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), None)
+    t_lo = PSI_REGION_T_MIN + 1e-3 if source == "psi_toy" else -10.0
+    chart = np.array([[t_lo + u * (10.0 - t_lo), x] for u, x, _ in points])
+    bases = [_boosted(MinkowskiEvent.from_coords(e), s0).coords()
+             for e, (_, _, s0) in zip(map_.value(chart), points)]
+    bases = np.array(bases + [[0.0, 2.0, 0.0], [-1.0, 4.0, 1.5]])
+    counts = orbit_intersection_count_grid(map_, bases, s_range, samples)
+    assert counts.tolist() == [_per_base_count(map_, b, s_range, samples) for b in bases]
+    assert counts.tolist() == [orbit_intersection_count(
+        map_, MinkowskiEvent.from_coords(b), s_range, samples) for b in bases]

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigembed.config import DEFAULT_FD_STEP, NumericConfig, fd_steps
-from sigembed.verify import (PSI_REGION_T_MIN, _duplicate_rows,
+from sigembed import verify
+from sigembed.verify import (PSI_REGION_T_MIN, _duplicate_rows, _lc_draws,
                              _off_kink_points, run_all)
 
 
@@ -56,3 +57,45 @@ def test_quick_battery_makes_no_per_matrix_lapack_calls(monkeypatch):
     results = run_all(quick=True)
     assert all(r.passed for r in results)
     assert stacks == []
+
+
+def _lc_draw_loop(rng, samples, n, x_span):
+    """The per-draw loop that _lc_draws reproduces from raw words."""
+    coords = np.zeros((samples, n))
+    directions = np.zeros((samples, n))
+    for k in range(samples):
+        coords[k, 1:] = rng.uniform(-x_span, x_span, size=n - 1)
+        directions[k, 0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    return coords, directions
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("samples", [1, 2, 333, 334])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lc_draws_match_per_draw_loop(n, samples, pending):
+    # an odd number of earlier choices leaves a 32-bit half-word pending
+    loop_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    if pending:
+        loop_rng.choice([-1.0, 1.0])
+        rng.choice([-1.0, 1.0])
+        assert rng.bit_generator.state["has_uint32"] == 1
+    want = _lc_draw_loop(loop_rng, samples, n, 5.0)
+    got = _lc_draws(rng, samples, n, 5.0)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # bitwise
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    for _ in range(3):
+        assert rng.choice([-1.0, 1.0]) == loop_rng.choice([-1.0, 1.0])
+        assert rng.uniform() == loop_rng.uniform()
+
+
+@pytest.fixture(scope="module")
+def full_battery():
+    return [r.as_dict() for r in run_all(quick=False)]
+
+
+@pytest.mark.parametrize("block_rows", [4001, 10**9])
+def test_full_battery_is_block_invariant(block_rows, full_battery, monkeypatch):
+    # 4001 rows scan one orbit per block and split the signature and
+    # isometry sweeps raggedly; 10**9 runs each sweep as one block
+    monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
+    assert [r.as_dict() for r in run_all(quick=False)] == full_battery
