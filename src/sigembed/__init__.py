@@ -9,10 +9,10 @@ injectivity and coordinate-chart consistency.
 """
 
 from .config import NumericConfig
-from .errors import (CapabilityError, ConvergenceError, DivergenceError,
-                     DomainError, EvaluationError, ImmersionError,
-                     NumericalError, PoleError, PreconditionError,
-                     RegionError, SigembedError)
+from .errors import (CapabilityError, DivergenceError, DomainError,
+                     EvaluationError, ImmersionError, NumericalError,
+                     PoleError, PreconditionError, RegionError,
+                     SigembedError)
 from .metric import (ChartPoint, MetricModel, SignatureClass, SignatureReport,
                      classify_signature, classify_signature_grid, eval_metric,
                      lc_regularity_at, metric_derivatives,

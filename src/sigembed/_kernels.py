@@ -19,18 +19,33 @@ I = theta |theta|^(1/2) sum a_m theta^m instead.
 
 The inversion I(theta) = (2/3)|t|^(3/2) sgn(t) uses the reverted series
 theta = t sum e_k t^k for |t| < THETA_SEAM.  Beyond it, both signs of t
-solve the same equation K(y) = sqrt2 |I| for z = 1/y, where K is convex
-with slope dK/dz = sqrt(1 - y^4) (the arc integrand, up to the change of
-variable).  As z - 2 J(1) < K(z) <= z - 1 and 2 J(1) < 2, the root lies in
-[1 + sqrt2 |I|, 2 + sqrt2 |I|]; a Newton iteration from the middle of that
-bracket, safeguarded by bisection, runs over the whole t-array at once.
+solve the same equation K(z) = T, T = sqrt2 |I|, for z = 1/y, where K is
+increasing and convex: dK/dz = sqrt(1 - z^-4) (the arc integrand, up to
+the change of variable) and d2K/dz2 = 2 z^-5 / sqrt(1 - z^-4) > 0.  As
+K(z) - z falls from -1 towards -2 J(1), the start z0 = T + 2 J(1) lies
+right of the root z*, and Newton started right of the root of an
+increasing convex function decreases monotonically onto it (Ortega &
+Rheinboldt 1970).  Its error e_k = z_k - z* obeys e_(k+1) <= C e_k^2 with
+
+    C = max K'' / (2 min K') = K''(z*) / (2 K'(z*)) = 1 / (z*^5 - z*),
+
+so C e_k <= (C e_0)^(2^k), and theta moves by at most e_k / (z* - 1),
+relative.  The bound is largest at the seam, where z* = 1.2186 is
+smallest: C e_0 = 0.066, and _NEWTON_STEPS = 4 steps leave 9.4e-19 (3
+leave 2.5e-9).  For huge T, z0 as rounded can sit left of z*; one step
+from the left lands right of z* with an error C e_0^2, far below an ulp,
+and the argument resumes.  So one fixed step count serves every t up to
+where theta overflows; tests/test_kernels.py evaluates the bound from the
+seam to |t| = 1e15.
 
 Every function is batch-first; scalar callers pass one-element arrays.
-Status codes: 0 ok; 1 non-finite theta or theta at/beyond the pole (arc),
-or the Newton iteration did not converge within cfg.max_iterations (theta).
+Status codes: 0 ok; 1 non-finite theta or theta at/beyond the pole (arc).
+The inversion's status is always 0.
 """
 
 import numpy as np
+
+from .errors import DomainError
 
 SQRT2 = float(np.sqrt(2.0))
 THETA_POLE = float(np.sqrt(0.5))
@@ -40,10 +55,10 @@ SEED_SLOPE = float(2.0 ** (-5.0 / 6.0))
 # compiled backend any more.
 NUMBA_ENABLED = False
 
-_EPS = float(np.finfo(float).eps)
 # 2 J(1) = pi / (lemniscate constant 2.62205755429211981...).
 _TWO_J1 = 1.1981402347355923
 _RD_STEPS = 5  # duplication steps; enough for the R_D arguments above
+_NEWTON_STEPS = 4  # from the convergence bound above
 
 # Series of I(theta)/(theta |theta|^(1/2)) about 0 (radius 1/sqrt2), used
 # below the seam where K loses digits to cancellation.  Derived from
@@ -135,43 +150,34 @@ def arc_integral_batch(thetas):
     return values, status
 
 
-def _theta_far(ts, cfg):
-    """Newton iteration for |t| >= THETA_SEAM; returns (thetas, status)."""
-    target = SQRT2 * (2.0 / 3.0) * np.abs(ts) * np.sqrt(np.abs(ts))
-    lo = 1.0 + target
-    hi = 2.0 + target
-    z = 0.5 * (lo + hi)
-    tol = max(cfg.root_tol, 64.0 * _EPS)
-    active = np.ones(ts.shape, dtype=bool)
-    for _ in range(cfg.max_iterations):
-        k, slope = _k_and_slope(1.0 / z)
-        resid = k - target
-        lo = np.where(resid < 0.0, z, lo)
-        hi = np.where(resid > 0.0, z, hi)
-        z_new = z - resid / slope
-        z_new = np.where((z_new >= lo) & (z_new <= hi), z_new, 0.5 * (lo + hi))
-        converged = np.abs(z_new - z) <= tol * z_new
-        z = np.where(active, z_new, z)
-        active &= ~converged
-        if not active.any():
-            break
-    thetas = np.where(ts > 0.0, (1.0 - 1.0 / z) / SQRT2, (1.0 - z) / SQRT2)
-    return thetas, active.astype(np.int64)
+def _theta_far(ts):
+    """theta for |t| >= THETA_SEAM: fixed Newton steps on K from the right."""
+    with np.errstate(all="ignore"):
+        target = SQRT2 * (2.0 / 3.0) * np.abs(ts) * np.sqrt(np.abs(ts))
+        z = target + _TWO_J1
+        for _ in range(_NEWTON_STEPS):
+            k, slope = _k_and_slope(1.0 / z)
+            z = z - (k - target) / slope
+    # only overflow, for |t| above about 3.3128e205, leaves z non-finite
+    if not np.isfinite(z).all():
+        raise DomainError(f"theta(t) overflows float64 at t = {ts[~np.isfinite(z)][0]}")
+    return np.where(ts > 0.0, (1.0 - 1.0 / z) / SQRT2, (1.0 - z) / SQRT2)
 
 
-def theta_root_batch(ts, cfg):
+def theta_root_batch(ts):
     """Unique theta < 1/sqrt2 with I(theta) = (2/3)|t|^(3/2) sgn(t), over
-    an array of t; returns (thetas, status).  Non-finite t is a ValueError."""
+    an array of t; returns (thetas, status), the status all 0.  Non-finite
+    t is a ValueError, |t| beyond about 3.3128e205, where the inversion
+    overflows, a DomainError."""
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     finite = np.isfinite(ts)
     if not finite.all():
         raise ValueError(f"t must be finite, got {ts[~finite][0]}")
     thetas = np.empty_like(ts)
-    status = np.zeros(ts.shape, dtype=np.int64)
     near = np.abs(ts) < THETA_SEAM
     if near.any():
         t = ts[near]
         thetas[near] = t * _horner(_THETA_SERIES, t)
     if not near.all():
-        thetas[~near], status[~near] = _theta_far(ts[~near], cfg)
-    return thetas, status
+        thetas[~near] = _theta_far(ts[~near])
+    return thetas, np.zeros(ts.shape, dtype=np.int64)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification or domain failure, 2 usage error
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -36,7 +37,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema", "command", "config", "checks", "timing_ms"],
     "properties": {
-        "schema": {"const": "1"},
+        "schema": {"const": "2"},
         "command": {"type": "string"},
         "config": {"type": "object"},
         "checks": {
@@ -65,14 +66,13 @@ class RunConfig:
     t_range: tuple = (-3.0, 3.0, 601)
     x_fixed: tuple = ()
     shift: float = 0.0
-    tolerances: NumericConfig = None
+    tolerances: NumericConfig = NumericConfig()
     output_path: str = None
     format: str = "csv"
 
     def as_dict(self):
-        """The fields in declaration order, tolerances defaulted."""
-        return dataclasses.asdict(dataclasses.replace(
-            self, tolerances=self.tolerances or NumericConfig()))
+        """The fields in declaration order."""
+        return dataclasses.asdict(self)
 
 
 def _write_text(path, text):
@@ -93,7 +93,7 @@ def _emit_table(columns, rows, run_cfg):
         _write_text(run_cfg.output_path, ",".join(columns) + "\n" + body)
     else:
         payload = {
-            "schema": "1",
+            "schema": "2",
             "command": run_cfg.command,
             "config": run_cfg.as_dict(),
             "columns": list(columns),
@@ -150,14 +150,7 @@ def _chart_grid(t_range, x_fixed):
                            + [np.full(count, v) for v in x_fixed])
 
 
-def _numeric_config(args):
-    if args.root_tol is None:
-        return NumericConfig()
-    return NumericConfig(root_tol=args.root_tol)
-
-
 def cmd_embed(args, parser):
-    cfg = _numeric_config(args)
     if args.model != "toy":
         parser.error(
             "embedding curves need the built-in canonical model; user model "
@@ -166,11 +159,11 @@ def cmd_embed(args, parser):
     n = args.n
     run_cfg = RunConfig(
         command="embed", model=args.model, n=n, t_range=args.t_range,
-        x_fixed=args.x_fixed, shift=args.shift, tolerances=cfg,
-        output_path=args.output, format=args.format,
+        x_fixed=args.x_fixed, shift=args.shift, output_path=args.output,
+        format=args.format,
     )
     if args.embedding == "explicit":
-        map_ = explicit_embedding_map(n, HyperbolaFamily(args.shift), cfg)
+        map_ = explicit_embedding_map(n, HyperbolaFamily(args.shift))
         image_columns = ["theta", "xi"] + [f"y{i}" for i in range(2, n + 1)]
     else:
         lo = args.t_range[0]
@@ -184,13 +177,12 @@ def cmd_embed(args, parser):
     return 0
 
 
-def cmd_misner(args, parser):
-    cfg = _numeric_config(args)
+def cmd_misner(args):
     n = args.n
     run_cfg = RunConfig(
         command="misner", model="toy", n=n, t_range=args.t_range,
-        x_fixed=args.x_fixed, shift=args.shift, tolerances=cfg,
-        output_path=args.output, format=args.format,
+        x_fixed=args.x_fixed, shift=args.shift, output_path=args.output,
+        format=args.format,
     )
     if args.orbit_event is not None:
         event = args.orbit_event
@@ -215,7 +207,7 @@ def cmd_misner(args, parser):
 
     coords = _chart_grid(args.t_range, args.x_fixed)
     family = HyperbolaFamily(args.shift) if args.embedding == "explicit" else None
-    events = source_embedding_map(args.embedding, n, family, cfg).value(coords)
+    events = source_embedding_map(args.embedding, n, family).value(coords)
     try:
         quotient = quotient_map_coords(events)
     except RegionError as exc:
@@ -232,21 +224,19 @@ def cmd_misner(args, parser):
     return 0
 
 
-def cmd_verify(args, parser):
-    cfg = _numeric_config(args)
+def cmd_verify(args):
     run_cfg = RunConfig(
         command="verify", model="user-file" if args.model_file else "toy",
-        tolerances=cfg, output_path=args.output, format="json",
+        output_path=args.output, format="json",
     )
     start = time.perf_counter()
     if args.model_file:
         results = run_user_model(load_model(args.model_file))
     else:
-        results = run_all(cfg=cfg, perturb_scale=args.perturb_scale,
-                          quick=not args.full)
+        results = run_all(perturb_scale=args.perturb_scale, quick=not args.full)
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
     report = {
-        "schema": "1",
+        "schema": "2",
         "command": "verify",
         "config": run_cfg.as_dict(),
         "checks": [r.as_dict() for r in results],
@@ -263,7 +253,10 @@ def cmd_verify(args, parser):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sigembed",
         description=(
@@ -284,7 +277,6 @@ def build_parser():
                        help="translation of the solution family (explicit only)")
     embed.add_argument("--output", default=None)
     embed.add_argument("--format", choices=["csv", "json"], default="csv")
-    embed.add_argument("--root-tol", type=float, default=None)
 
     misner = sub.add_parser("misner", help="write composed quotient rows or orbit copies")
     misner.add_argument("--embedding", choices=["psi_toy", "explicit"],
@@ -298,7 +290,6 @@ def build_parser():
     misner.add_argument("--kmax", type=int, default=3)
     misner.add_argument("--output", default=None)
     misner.add_argument("--format", choices=["csv", "json"], default="csv")
-    misner.add_argument("--root-tol", type=float, default=None)
 
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--full", action="store_true",
@@ -308,7 +299,6 @@ def build_parser():
     verify.add_argument("--model-file", default=None,
                         help="verify a user metric model file instead")
     verify.add_argument("--output", default=None)
-    verify.add_argument("--root-tol", type=float, default=None)
 
     # values like "-3:3:601" or "-1,0" must parse as arguments, not flags
     matcher = re.compile(r"^-\d")
@@ -320,8 +310,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (args.root_tol is None or 0.0 < args.root_tol < np.inf):
-        parser.error(f"--root-tol must be positive and finite, got {args.root_tol}")
     if args.command in ("embed", "misner"):
         if args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
@@ -344,9 +332,9 @@ def main(argv=None):
         if args.command == "embed":
             return cmd_embed(args, parser)
         if args.command == "misner":
-            return cmd_misner(args, parser)
+            return cmd_misner(args)
         if args.command == "verify":
-            return cmd_verify(args, parser)
+            return cmd_verify(args)
     except SigembedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

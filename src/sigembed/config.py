@@ -1,4 +1,4 @@
-"""Numeric settings shared by the root-finding and FD layers."""
+"""Numeric settings of the finite-difference layers."""
 
 from dataclasses import dataclass
 
@@ -11,19 +11,13 @@ DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and iteration budgets for the numerical kernels."""
+    """Base step of the finite-difference Jacobians and derivatives."""
 
-    root_tol: float = 1e-12
-    max_iterations: int = 200
     fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        for name in ("root_tol", "fd_step"):
-            value = getattr(self, name)
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (self.fd_step > 0.0 and np.isfinite(self.fd_step)):
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
 
 
 def fd_steps(coords, base_step):

@@ -54,10 +54,6 @@ class ImmersionError(SigembedError):
         self.rank = rank
 
 
-class ConvergenceError(SigembedError):
-    """Iterative solver exceeded its iteration or subdivision budget."""
-
-
 class NumericalError(SigembedError):
     """A numerical kernel failed (eigen-solver, step underflow, ...)."""
 

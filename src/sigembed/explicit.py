@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import SEED_SLOPE, SQRT2, THETA_POLE
 from .config import NumericConfig
-from .errors import ConvergenceError, DivergenceError, PoleError
+from .errors import DivergenceError, PoleError
 from .minkowski import EmbeddingMap
 
 
@@ -107,24 +107,20 @@ def t_of_theta(theta):
     return float(t_of_theta_grid(np.array([_arc_domain(theta)]))[0])
 
 
-def theta_of_t(t, cfg=None):
+def theta_of_t(t):
     """Unique theta < 1/sqrt(2) with I(theta) = (2/3)|t|^(3/2) sgn(t).
 
     Strictly increasing in t; a batch of one through theta_of_t_grid.
     """
-    return float(theta_of_t_grid([float(t)], cfg)[0])
+    return float(theta_of_t_grid([float(t)])[0])
 
 
-def theta_of_t_grid(ts, cfg=None):
-    """theta_of_t over an array of t values; ValueError for non-finite t,
-    ConvergenceError where the Newton iteration exhausts max_iterations."""
-    cfg = cfg or NumericConfig()
-    ts = np.asarray(ts, dtype=float)
-    thetas, status = _kernels.theta_root_batch(ts, cfg)
-    if np.any(status != 0):
-        bad = float(ts[status != 0][0])
-        raise ConvergenceError(f"theta inversion did not converge for t = {bad}")
-    return thetas
+def theta_of_t_grid(ts):
+    """theta_of_t over an array of t values, by the series below the seam
+    and a fixed count of Newton steps beyond it (see ``_kernels``);
+    ValueError for non-finite t, DomainError for |t| beyond about
+    3.3128e205, where the inversion overflows."""
+    return _kernels.theta_root_batch(np.asarray(ts, dtype=float))[0]
 
 
 def asymptotic_theta(t):
@@ -138,28 +134,27 @@ def asymptotic_theta(t):
 EMBED_TIME_SIGN = -1.0
 
 
-def embed_explicit_grid(ts, family=HyperbolaFamily(), cfg=None):
+def embed_explicit_grid(ts, family=HyperbolaFamily()):
     """(theta, xi) arrays of the translated curve over a t-grid:
     (theta_emb - d/sqrt2, xi + d/sqrt2) with theta_emb(t) = theta_of_t(-t),
     defined for every finite t."""
-    thetas0 = theta_of_t_grid(EMBED_TIME_SIGN * np.asarray(ts, dtype=float), cfg)
+    thetas0 = theta_of_t_grid(EMBED_TIME_SIGN * np.asarray(ts, dtype=float))
     tau = thetas0 - family.offset
     return tau, hyperbola_xi(tau, family)
 
 
-def embed_explicit(p, family=HyperbolaFamily(), cfg=None):
+def embed_explicit(p, family=HyperbolaFamily()):
     """Global embedding of a chart point; the spatial coordinates ride
     along unchanged."""
-    return explicit_embedding_map(p.n, family, cfg).value_eval(p)
+    return explicit_embedding_map(p.n, family).value_eval(p)
 
 
-def explicit_embedding_map(n=2, family=HyperbolaFamily(), cfg=None):
+def explicit_embedding_map(n=2, family=HyperbolaFamily()):
     """EmbeddingMap of the global construction (target dim n + 1)."""
-    cfg = cfg or NumericConfig()
 
     def value(coords):
         out = np.empty((coords.shape[0], n + 1))
-        out[:, 0], out[:, 1] = embed_explicit_grid(coords[:, 0], family, cfg)
+        out[:, 0], out[:, 1] = embed_explicit_grid(coords[:, 0], family)
         out[:, 2:] = coords[:, 1:]
         return out
 
@@ -168,7 +163,7 @@ def explicit_embedding_map(n=2, family=HyperbolaFamily(), cfg=None):
         # with F the arc integrand; the magnitude of the t = 0 limit is
         # 1/2^(5/6).
         ts = coords[:, 0]
-        theta0 = theta_of_t_grid(EMBED_TIME_SIGN * ts, cfg)
+        theta0 = theta_of_t_grid(EMBED_TIME_SIGN * ts)
         u = SQRT2 - 2.0 * theta0
         with np.errstate(divide="ignore", invalid="ignore"):
             speed = np.sqrt(np.abs(ts)) / np.sqrt(np.abs(4.0 / u**4 - 1.0))
@@ -203,7 +198,7 @@ def ode_residual_grid(ts, family=HyperbolaFamily(), cfg=None):
     h = cfg.fd_step * np.maximum(1.0, np.abs(ts))
     # keep the stencil off the |t| kink at 0
     h = np.where((ts != 0.0) & (np.abs(ts) < 2.0 * h), 0.5 * np.abs(ts), h)
-    theta, xi = embed_explicit_grid(np.stack([ts - h, ts + h]), family, cfg)
+    theta, xi = embed_explicit_grid(np.stack([ts - h, ts + h]), family)
     dtheta = (theta[1] - theta[0]) / (2.0 * h)
     dxi = (xi[1] - xi[0]) / (2.0 * h)
     return np.abs(-(dtheta**2) + dxi**2 + ts)

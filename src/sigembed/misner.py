@@ -186,7 +186,7 @@ def quotient_isometry_residual(e, cfg=None):
     return float(quotient_isometry_residual_grid(e.batch(), cfg)[0])
 
 
-def source_embedding_map(source, n=2, family=None, cfg=None):
+def source_embedding_map(source, n=2, family=None):
     """Embedding selected by name: 'psi_toy' or 'explicit'.
 
     The explicit family defaults to shift 1 here so composed images stay
@@ -196,15 +196,15 @@ def source_embedding_map(source, n=2, family=None, cfg=None):
         return psi_toy_map(n)
     if source == "explicit":
         family = family if family is not None else HyperbolaFamily(shift=1.0)
-        return explicit_embedding_map(n, family, cfg)
+        return explicit_embedding_map(n, family)
     raise ValueError(f"unknown source embedding {source!r}")
 
 
-def compose_embedding(p, source="explicit", family=None, cfg=None):
+def compose_embedding(p, source="explicit", family=None):
     """Quotient image of a chart point through the chosen embedding.
 
     The ambient image must land in the half-space; violations raise a
     RegionError naming the offending (tau, y1) pair rather than silently
     restricting the domain.
     """
-    return to_misner(source_embedding_map(source, p.n, family, cfg).value_eval(p))
+    return to_misner(source_embedding_map(source, p.n, family).value_eval(p))

@@ -122,14 +122,14 @@ def check_isometry_psi(n=2, mode="finite_difference", t_count=200, x_count=50,
 def _signature_mismatches(model, ts, x, tol=1e-10):
     """Points of a t-sweep at spatial coordinates x whose class code is not
     sign(t) (Riemannian, degenerate, Lorentzian), and the zero-eigenvalue
-    counts."""
+    counts of the points at t == 0."""
     mismatches, zeros = 0, []
     for block in _blocks(ts.size):
         t = ts[block]
         coords = np.column_stack([t] + [np.full(t.size, x)] * (model.dimension - 1))
         codes, _, zero, _ = classify_signature_grid(model, coords, tol)
         mismatches += int(np.count_nonzero(codes != np.sign(t)))
-        zeros.append(zero)
+        zeros.append(zero[t == 0])
     return mismatches, np.concatenate(zeros)
 
 
@@ -139,7 +139,7 @@ def check_signature_sweep(n=2, count=100_000, tol=1e-10):
     # matching classes fix the counts off t = 0; on it the radical is a line
     return CheckResult.within(f"signature_sweep_n{n}", mismatches, 0,
                               f"t in [-5, 5] x{count}, n={n}",
-                              ok=np.all(zero[ts == 0] == 1))
+                              ok=np.all(zero == 1))
 
 
 def _lc_draws(rng, samples, n, x_span):
@@ -220,9 +220,9 @@ def check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=None):
         tol, f"t in [-{t_span}, {t_span}] x{count} minus (-1e-6, 1e-6)")
 
 
-def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=None):
+def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8):
     ts = np.linspace(-t_span, t_span, count)
-    thetas = theta_of_t_grid(ts, cfg)
+    thetas = theta_of_t_grid(ts)
     # nan (a theta at the pole) fails the check
     return CheckResult.within(
         "inversion_roundtrip", np.abs(t_of_theta_grid(thetas) - ts).max(), tol,
@@ -230,17 +230,17 @@ def check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=None):
         ok=np.all(np.diff(thetas) > 0.0))
 
 
-def check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2, cfg=None):
+def check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2):
     ts = np.array([sign * mag for mag in magnitudes for sign in (1.0, -1.0)])
     small = asymptotic_theta(ts)[0]
-    worst = np.max(np.abs(theta_of_t_grid(ts, cfg) - small) / np.abs(ts))
+    worst = np.max(np.abs(theta_of_t_grid(ts) - small) / np.abs(ts))
     return CheckResult.within("asymptotic_small_t", worst, tol,
                               f"|t| in {list(magnitudes)}, both signs")
 
 
-def check_asymptotics_large_negative(t=-100.0, tol=2e-2, cfg=None):
+def check_asymptotics_large_negative(t=-100.0, tol=2e-2):
     _, large = asymptotic_theta(t)
-    rel = abs(theta_of_t(t, cfg) - large) / abs(large)
+    rel = abs(theta_of_t(t) - large) / abs(large)
     return CheckResult.within("asymptotic_large_negative", rel, tol,
                               f"t = {t} against (2/3)|t|^(3/2) sgn t")
 
@@ -344,11 +344,11 @@ def check_tangency(t_count=500, floor=TANGENCY_RESIDUAL_FLOOR, cfg=None):
     )
 
 
-def check_orbit_injectivity(bases_per_map=12, samples=2001, seed=37, cfg=None):
+def check_orbit_injectivity(bases_per_map=12, samples=2001, seed=37):
     rng = np.random.default_rng(seed)
     worst = 0
     scans = [(psi_toy_map(2), PSI_REGION_T_MIN + 1e-3),
-             (source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg), -10.0)]
+             (source_embedding_map("explicit", 2, HyperbolaFamily(1.0)), -10.0)]
     for map_, t_lo in scans:
         # bases at chart points (t, x), drawn row by row
         bases = map_.value(rng.uniform([t_lo, -5.0], [10.0, 5.0], (bases_per_map, 2)))
@@ -367,10 +367,10 @@ def _duplicate_rows(rows):
     return int(np.count_nonzero((ordered[1:] == ordered[:-1]).all(axis=1)))
 
 
-def check_composed_injectivity(t_count=100, x_count=100, cfg=None):
+def check_composed_injectivity(t_count=100, x_count=100):
     family = HyperbolaFamily(1.0)
     ts = np.linspace(-3.0, 3.0, t_count)
-    q = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family, cfg)))
+    q = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family)))
     T, phi = q[:, 0], canonical_phi(q[:, 1])
     xs = np.linspace(-5.0, 5.0, x_count)
     rows = np.column_stack([
@@ -404,7 +404,7 @@ def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
     source metric: all three must agree."""
     cfg = cfg or NumericConfig()
     rng = np.random.default_rng(seed)
-    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), cfg)
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0))
     # the canonical-model embedding lands in the half-space only above
     # the region boundary
     t_lo = -3.0 if source == "explicit" else PSI_REGION_T_MIN + 0.05
@@ -425,12 +425,12 @@ def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
         f"{count} seeded points, composition vs staged vs source ({source})")
 
 
-def check_bulk_vs_brane(t_count=121, tol=1e-12, cfg=None):
+def check_bulk_vs_brane(t_count=121, tol=1e-12):
     """Quotient (T, phi) block stays unit-determinant Lorentzian along the
     composed curve while the source determinant -t changes sign."""
     family = HyperbolaFamily(1.0)
     ts = np.linspace(-3.0, 3.0, t_count)
-    T = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family, cfg)))[:, 0]
+    T = quotient_map_coords(np.column_stack(embed_explicit_grid(ts, family)))[:, 0]
     dets = np.linalg.det(misner_metric(T, 2))
     source_dets = -ts
     sign_ok = (
@@ -443,10 +443,10 @@ def check_bulk_vs_brane(t_count=121, tol=1e-12, cfg=None):
         f"t in [-3, 3] x{t_count}, composed with shift 1", ok=sign_ok)
 
 
-def check_region_scan(source="explicit", t_range=(-3.0, 3.0), count=61, cfg=None):
+def check_region_scan(source="explicit", t_range=(-3.0, 3.0), count=61):
     """Composed-embedding region membership along a t-range."""
     ts = np.linspace(t_range[0], t_range[1], count)
-    events = source_embedding_map(source, 2, None, cfg).value(
+    events = source_embedding_map(source, 2, None).value(
         np.column_stack([ts, np.zeros(count)]))
     first_bad = None
     try:
@@ -484,19 +484,19 @@ def run_all(cfg=None, perturb_scale=1.0, quick=True):
         check_lc_regularity(cfg=cfg),
         check_radical_transversality(cfg=cfg),
         check_ode_residual(ode_count, cfg=cfg),
-        check_inversion_roundtrip(inv_count, cfg=cfg),
-        check_asymptotics_small(cfg=cfg),
-        check_asymptotics_large_negative(cfg=cfg),
+        check_inversion_roundtrip(inv_count),
+        check_asymptotics_small(),
+        check_asymptotics_large_negative(),
         check_quotient_isometry(quot_count, cfg=cfg),
         check_boost_identification(),
         check_misner_roundtrip(quot_count),
         check_tangency(cfg=cfg),
-        check_orbit_injectivity(bases, cfg=cfg),
-        check_composed_injectivity(cfg=cfg),
+        check_orbit_injectivity(bases),
+        check_composed_injectivity(),
         check_functoriality(functorial, source="explicit", cfg=cfg),
         check_functoriality(functorial, source="psi_toy", cfg=cfg),
-        check_bulk_vs_brane(cfg=cfg),
-        check_region_scan("explicit", cfg=cfg),
+        check_bulk_vs_brane(),
+        check_region_scan("explicit"),
     ]
     return results
 

@@ -64,7 +64,7 @@ def test_criterion_1_isometry_of_psi():
 
 def test_criterion_2_explicit_embedding():
     ode = check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=CFG)
-    inv = check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8, cfg=CFG)
+    inv = check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8)
     _report(
         2, ode.passed and inv.passed,
         f"ode residual {ode.max_residual:.2e} (<=1e-6) over 1000 points; "
@@ -73,9 +73,8 @@ def test_criterion_2_explicit_embedding():
 
 
 def test_criterion_3_asymptotics():
-    small = check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2,
-                                    cfg=CFG)
-    large = check_asymptotics_large_negative(t=-100.0, tol=2e-2, cfg=CFG)
+    small = check_asymptotics_small(magnitudes=(1e-3, 1e-4, 1e-5), tol=1e-2)
+    large = check_asymptotics_large_negative(t=-100.0, tol=2e-2)
     _report(
         3, small.passed and large.passed,
         f"small-t deviation {small.max_residual:.2e} (<=1e-2); "
@@ -149,7 +148,7 @@ def test_criterion_5_transversality():
 def test_criterion_6_injectivity():
     rng = np.random.default_rng(43)
     psi_map = psi_toy_map(2)
-    exp_map = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), CFG)
+    exp_map = source_embedding_map("explicit", 2, HyperbolaFamily(1.0))
     bad = 0
     for map_, t_lo in [(psi_map, PSI_REGION_T_MIN + 1e-3), (exp_map, -10.0)]:
         # t then x for each base, in the order of a per-base loop
@@ -157,7 +156,7 @@ def test_criterion_6_injectivity():
         counts = orbit_intersection_count_grid(map_, map_.value(np.array(chart)),
                                                (-20, 20), 2001)
         bad += int(np.count_nonzero(counts != 1))
-    distinct = check_composed_injectivity(t_count=100, x_count=100, cfg=CFG)
+    distinct = check_composed_injectivity(t_count=100, x_count=100)
     _report(
         6, bad == 0 and distinct.passed,
         f"orbit intersection count = 1 for 2x100 on-image bases "
@@ -182,7 +181,7 @@ def test_criterion_7_signature_structure():
 
 
 def test_criterion_8_signature_change_without_signature_change():
-    result = check_bulk_vs_brane(t_count=301, tol=1e-12, cfg=CFG)
+    result = check_bulk_vs_brane(t_count=301, tol=1e-12)
     _report(
         8, result.passed,
         f"quotient (T, phi) block determinant -1 within {result.max_residual:.2e}"

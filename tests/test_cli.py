@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sigembed import cli
 from sigembed.cli import REPORT_SCHEMA, RunConfig, _emit_table, main
+from sigembed.config import NumericConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,7 +105,7 @@ def test_embed_usage_error_names_flag(tmp_path, capsys):
     (["misner", "--n", "1"], "--n"),
     (["embed", "--shift", "-1"], "--shift"),
     (["embed", "--shift", "nan"], "--shift"),
-    (["embed", "--root-tol", "-1"], "--root-tol"),
+    (["embed", "--root-tol", "-1"], "--root-tol"),  # no such flag any more
     (["embed", "--t-range", "0:inf:3"], "--t-range"),
     (["embed", "--x-fixed", "nan"], "--x-fixed"),
     (["misner", "--orbit-event", "0,2,nan"], "--orbit-event"),
@@ -133,7 +135,7 @@ def test_emit_table_matches_per_value_format(tmp_path, fmt):
         want = ",".join(columns) + "\n" + "".join(
             ",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
     else:
-        payload = {"schema": "1", "command": "embed", "config": run_cfg.as_dict(),
+        payload = {"schema": "2", "command": "embed", "config": run_cfg.as_dict(),
                    "columns": columns,
                    "rows": [[float(v) for v in row] for row in rows]}
         want = json.dumps(payload, indent=2) + "\n"
@@ -160,7 +162,8 @@ def test_embed_json_format(tmp_path):
         "--format", "json", "--output", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "1"
+    assert payload["schema"] == "2"
+    assert payload["config"]["tolerances"] == {"fd_step": NumericConfig().fd_step}
     assert payload["columns"][0] == "t"
     assert len(payload["rows"]) == 21
 
@@ -241,7 +244,8 @@ def test_verify_report_schema_and_exit(tmp_path):
     assert run_cli(["verify", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema"] == "1"
+    assert report["schema"] == "2"
+    assert report["config"]["tolerances"] == {"fd_step": NumericConfig().fd_step}
     assert all(c["pass"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert "isometry_psi_n2_analytic" in names
@@ -297,15 +301,42 @@ def test_verify_user_model_file_indefinite_slices(tmp_path, capsys):
     assert "slice_positive_definite" in capsys.readouterr().err
 
 
-def test_root_tol_reaches_report(tmp_path):
-    out = tmp_path / "report.json"
-    assert run_cli(["verify", "--root-tol", "1e-10", "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["config"]["tolerances"]["root_tol"] == 1e-10
-
-
 def test_psi_embed_rejects_boundary_range(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["embed", "--embedding", "psi", "--t-range", "-2:5:10"])
     assert exc.value.code == 2
     assert "t > -1" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _fresh_parser_output(argv, capsys, monkeypatch):
+    """Bytes that ``main(argv)`` writes with a parser built afresh."""
+    fresh = cli.build_parser.__wrapped__()
+    monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return capsys.readouterr().out
+
+
+def test_reused_parser_keeps_defaults_after_non_default_call(tmp_path, capsys,
+                                                              monkeypatch):
+    for command in ("embed", "misner"):
+        want = _fresh_parser_output([command], capsys, monkeypatch)
+        assert run_cli([command, "--shift", "2", "--format", "json", "--n", "3",
+                        "--output", str(tmp_path / f"{command}.json")]) == 0
+        assert run_cli([command]) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("bad", [["--format", "xml"], ["--n", "1"]])
+def test_reused_parser_survives_usage_error(bad, capsys, monkeypatch):
+    want = _fresh_parser_output(["embed"], capsys, monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["embed", "--shift", "2"] + bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["embed"]) == 0
+    assert capsys.readouterr().out == want

@@ -3,13 +3,12 @@ import pytest
 
 from helpers import simpson_raw_arc, simpson_substituted_arc
 
-from sigembed import (ChartPoint, ConvergenceError, DivergenceError,
+from sigembed import (ChartPoint, DivergenceError, DomainError,
                       HyperbolaFamily, PoleError, THETA_POLE, arc_integral,
                       asymptotic_theta, embed_explicit, embed_explicit_grid,
                       explicit_embedding_map, hyperbola_xi, isometry_residual,
                       ode_residual, t_of_theta, theta_of_t, theta_of_t_grid,
                       toy_model)
-from sigembed.config import NumericConfig
 from sigembed.explicit import EMBED_TIME_SIGN
 
 # Frozen from the kink-removing composite-Simpson oracle at 10^6 panels
@@ -76,9 +75,9 @@ def test_arc_integral_divergence_error():
         arc_integral(1.0)
 
 
-def test_t_of_theta_roundtrip(cfg):
+def test_t_of_theta_roundtrip():
     for t in [-5.0, -1.0, -0.1, 0.1, 1.0, 5.0]:
-        assert t_of_theta(theta_of_t(t, cfg)) == pytest.approx(t, abs=1e-10)
+        assert t_of_theta(theta_of_t(t)) == pytest.approx(t, abs=1e-10)
     assert t_of_theta(0.0) == 0.0
 
 
@@ -90,53 +89,55 @@ def test_t_of_theta_tiny_theta():
                                                   rel=1e-13, abs=0.0)
 
 
-def test_t_of_theta_large_negative_consistency(cfg):
+def test_t_of_theta_large_negative_consistency():
     # far down the branch the integrand is ~1, so I(theta) ~ theta
     theta = -500.0
     t = t_of_theta(theta)
     assert t == pytest.approx(-(1.5 * abs(theta)) ** (2.0 / 3.0), rel=1e-3)
 
 
-def test_theta_of_t_fixed_points_and_monotonicity(cfg):
-    assert theta_of_t(0.0, cfg) == 0.0
+def test_theta_of_t_fixed_points_and_monotonicity():
+    assert theta_of_t(0.0) == 0.0
     ts = np.linspace(-30, 30, 401)
-    thetas = theta_of_t_grid(ts, cfg)
+    thetas = theta_of_t_grid(ts)
     assert (np.diff(thetas) > 0).all()
     assert (thetas < THETA_POLE).all()
 
 
-def test_theta_of_t_small_asymptotic(cfg):
+def test_theta_of_t_small_asymptotic():
     for t in [1e-3, -1e-3, 1e-4, -1e-4, 1e-5, -1e-5]:
         small, _ = asymptotic_theta(t)
-        assert abs(theta_of_t(t, cfg) - small) / abs(t) <= 1e-2
+        assert abs(theta_of_t(t) - small) / abs(t) <= 1e-2
 
 
-def test_theta_of_t_large_negative(cfg):
+def test_theta_of_t_large_negative():
     _, large = asymptotic_theta(-100.0)
     assert large == pytest.approx(-2000.0 / 3.0, abs=1e-9)
-    assert abs(theta_of_t(-100.0, cfg) - large) / abs(large) <= 1e-2
+    assert abs(theta_of_t(-100.0) - large) / abs(large) <= 1e-2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input_rejected(bad, cfg):
+def test_non_finite_input_rejected(bad):
     from sigembed import _kernels
 
     ts = np.array([-2.0, 0.0, bad, 3.0])
     with pytest.raises(ValueError):
-        theta_of_t_grid(ts, cfg)
+        theta_of_t_grid(ts)
     with pytest.raises(ValueError):
-        _kernels.theta_root_batch(ts, cfg)
+        _kernels.theta_root_batch(ts)
     with pytest.raises(ValueError):
-        theta_of_t(bad, cfg)
+        theta_of_t(bad)
     with pytest.raises(ValueError):
         arc_integral(bad)
 
 
-def test_theta_of_t_convergence_error():
-    # a one-iteration budget cannot bracket the root for large positive t
-    starved = NumericConfig(max_iterations=1)
-    with pytest.raises(ConvergenceError):
-        theta_of_t(100.0, starved)
+def test_theta_of_t_overflow_is_domain_error():
+    # the largest |t| the inversion takes; beyond it the Newton variable overflows
+    t_max = 3.3127948887274683e205
+    for sign in (1.0, -1.0):
+        assert np.isfinite(theta_of_t(sign * t_max))
+        with pytest.raises(DomainError):
+            theta_of_t_grid([0.0, sign * np.nextafter(t_max, np.inf)])
 
 
 def test_asymptotic_theta_closed_forms():
@@ -172,8 +173,8 @@ def test_family_covariance(cfg):
     fam = HyperbolaFamily(2.5)
     off = fam.offset
     for t in [-4.0, -0.3, 0.6, 3.0]:
-        base = embed_explicit(ChartPoint(t, [0.9]), HyperbolaFamily(0.0), cfg)
-        moved = embed_explicit(ChartPoint(t, [0.9]), fam, cfg)
+        base = embed_explicit(ChartPoint(t, [0.9]), HyperbolaFamily(0.0))
+        moved = embed_explicit(ChartPoint(t, [0.9]), fam)
         np.testing.assert_allclose(
             moved.coords() - base.coords(), [-off, off, 0.0], atol=1e-12
         )
@@ -182,7 +183,7 @@ def test_family_covariance(cfg):
 
 def test_explicit_map_isometry_small_grid(cfg):
     model = toy_model(2)
-    map_ = explicit_embedding_map(2, HyperbolaFamily(0.0), cfg)
+    map_ = explicit_embedding_map(2, HyperbolaFamily(0.0))
     for t in np.linspace(-9.7, 9.7, 21):
         r = isometry_residual(map_, model, ChartPoint(t, [1.1]),
                               "finite_difference", cfg)
@@ -192,9 +193,9 @@ def test_explicit_map_isometry_small_grid(cfg):
         assert r_an <= 1e-10
 
 
-def test_explicit_map_time_roundtrip_and_membership(cfg):
+def test_explicit_map_time_roundtrip_and_membership():
     family = HyperbolaFamily(1.0)
-    map_ = explicit_embedding_map(2, family, cfg)
+    map_ = explicit_embedding_map(2, family)
     for t in [-3.0, 0.0, 0.7]:
         e = map_.value_eval(ChartPoint(t, [0.4]))
         back = EMBED_TIME_SIGN * t_of_theta(e.tau + family.offset)
@@ -204,12 +205,12 @@ def test_explicit_map_time_roundtrip_and_membership(cfg):
     assert abs(map_.on_image_residual(off_image.batch())[0]) > 0.1
 
 
-def test_embed_explicit_grid_matches_pointwise(cfg):
+def test_embed_explicit_grid_matches_pointwise():
     fam = HyperbolaFamily(1.0)
     ts = np.linspace(-3, 3, 11)
-    tau, xi = embed_explicit_grid(ts, fam, cfg)
+    tau, xi = embed_explicit_grid(ts, fam)
     for t, a, b in zip(ts, tau, xi):
-        e = embed_explicit(ChartPoint(t, [0.0]), fam, cfg)
+        e = embed_explicit(ChartPoint(t, [0.0]), fam)
         assert a == pytest.approx(e.tau, abs=1e-12)
         assert b == pytest.approx(float(e.y[0]), abs=1e-12)
 
@@ -226,6 +227,6 @@ def test_explicit_isometry_grid_analytic_fallback(cfg):
     from sigembed import isometry_residual_grid
 
     model = toy_model(2)
-    map_ = explicit_embedding_map(2, HyperbolaFamily(0.0), cfg)
+    map_ = explicit_embedding_map(2, HyperbolaFamily(0.0))
     coords = np.column_stack([np.linspace(-2, 2, 9), np.full(9, 0.3)])
     assert isometry_residual_grid(map_, model, coords, "analytic", cfg) <= 1e-10

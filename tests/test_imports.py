@@ -1,5 +1,5 @@
 """Every top-level import of a package module is used in that module, and
-every defaulted parameter of a package function is read by it.
+every parameter of a package function is read by it.
 
 No linter ships with the package's test dependencies, so this walks the
 syntax tree with the standard library.  ``__init__.py`` is exempt from the
@@ -24,21 +24,19 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-def _unread_defaulted_params(source):
-    """(line, function, parameter) of each defaulted parameter that its
-    function, nested functions included, never reads as a name."""
+def _unread_params(source):
+    """(line, function, parameter) of each parameter that its function,
+    nested functions included, never reads as a name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = node.args
-        positional = args.posonlyargs + args.args
-        defaulted = positional[len(positional) - len(args.defaults):] + [
-            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-            if default is not None]
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg is not None]
         read = {name.id for stmt in node.body for name in ast.walk(stmt)
                 if isinstance(name, ast.Name)}
-        found += [(node.lineno, node.name, arg.arg) for arg in defaulted
+        found += [(node.lineno, node.name, arg.arg) for arg in params
                   if arg.arg not in read]
     return sorted(found)
 
@@ -57,7 +55,7 @@ def test_no_unused_top_level_import():
 
 
 def test_no_unread_defaulted_parameter():
-    unread = {name: _unread_defaulted_params(source)
+    unread = {name: _unread_params(source)
               for name, source in _package_sources().items()}
     assert {name: found for name, found in unread.items() if found} == {}
 
@@ -70,6 +68,7 @@ def test_unused_import_is_found():
 def test_unread_defaulted_parameter_is_found():
     source = ("def f(a, b=1, *, c=None, d=2, e):\n    return a + d\n\n\n"
               "def g(x=0, y=0):\n    def h(z=None):\n        return x + z\n"
-              "    return h\n")
-    assert _unread_defaulted_params(source) == [(1, "f", "b"), (1, "f", "c"),
-                                               (5, "g", "y")]
+              "    return h\n\n\n"
+              "def k(p, q, /, r, *s, **u):\n    return q + r + s\n")
+    assert _unread_params(source) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "e"),
+                                      (5, "g", "y"), (11, "k", "p"), (11, "k", "u")]

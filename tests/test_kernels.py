@@ -4,7 +4,9 @@ The closed form (Carlson's R_D), the series used near theta = 0 and the
 vectorised inversion are checked against a uniform Simpson rule and
 against mpmath at 30+ digits: quadrature of the arc integrand for I, and
 a Newton iteration on that quadrature for theta(t).  The series tables
-are re-derived with sympy.
+are re-derived with sympy, the inversion's step count from its
+convergence bound, and the fixed steps against the bracketed Newton
+iteration run to convergence.
 """
 
 from math import comb
@@ -16,9 +18,7 @@ import pytest
 from helpers import simpson_substituted_arc
 
 from sigembed import _kernels as kernels
-from sigembed.config import NumericConfig
 
-CFG = NumericConfig()
 EPS = float(np.finfo(float).eps)
 MP_DPS = 40
 
@@ -97,7 +97,7 @@ T_SEAM = kernels.THETA_SEAM
     3.0, -3.0, 100.0, -100.0, 5000.0,
 ])
 def test_theta_root_against_mpmath(t):
-    thetas, status = kernels.theta_root_batch(np.array([t]), CFG)
+    thetas, status = kernels.theta_root_batch(np.array([t]))
     assert status[0] == 0
     ref = mp_theta(t, thetas[0])
     assert abs(thetas[0] - ref) <= 1e-13 * abs(ref)
@@ -136,10 +136,10 @@ def test_series_tables_match_sympy_derivation():
 
 def test_batch_wrappers_match_scalar():
     ts = np.array([-7.0, -0.2, 0.0, 0.4, 12.0])
-    thetas, status = kernels.theta_root_batch(ts, CFG)
+    thetas, status = kernels.theta_root_batch(ts)
     assert (status == 0).all()
     for t, th in zip(ts, thetas):
-        single, st = kernels.theta_root_batch(np.array([t]), CFG)
+        single, st = kernels.theta_root_batch(np.array([t]))
         assert st.tolist() == [0]
         assert single[0] == th
     values, status = kernels.arc_integral_batch(thetas)
@@ -157,12 +157,76 @@ def test_arc_status_marks_pole_and_non_finite():
     assert np.isfinite(values[0]) and np.isnan(values[1:]).all()
 
 
-def test_newton_is_insensitive_to_root_tol():
-    # quadratic convergence: a looser stop still lands on the same float
-    # to a few ulps, so root_tol caps the work, not the accuracy.  Large |t|
-    # puts the root within an ulp of the bracket's asymptote side.
+def bracketed_theta_far(ts):
+    """theta for |t| >= THETA_SEAM by Newton on K from the middle of the
+    bracket [1 + T, 2 + T], safeguarded by bisection and run until a step
+    moves z by at most 64 eps, relative: the reference for the fixed steps."""
+    target = kernels.SQRT2 * (2.0 / 3.0) * np.abs(ts) * np.sqrt(np.abs(ts))
+    lo = 1.0 + target
+    hi = 2.0 + target
+    z = 0.5 * (lo + hi)
+    active = np.ones(ts.shape, dtype=bool)
+    for _ in range(200):
+        k, slope = kernels._k_and_slope(1.0 / z)
+        resid = k - target
+        lo = np.where(resid < 0.0, z, lo)
+        hi = np.where(resid > 0.0, z, hi)
+        z_new = z - resid / slope
+        z_new = np.where((z_new >= lo) & (z_new <= hi), z_new, 0.5 * (lo + hi))
+        converged = np.abs(z_new - z) <= 64.0 * EPS * z_new
+        z = np.where(active, z_new, z)
+        active &= ~converged
+        if not active.any():
+            break
+    assert not active.any()
+    return np.where(ts > 0.0, (1.0 - 1.0 / z) / kernels.SQRT2,
+                    (1.0 - z) / kernels.SQRT2)
+
+
+def test_fixed_steps_equal_iterate_to_convergence():
+    # Large |t| puts the root within an ulp of the bracket's asymptote side,
+    # and can put the rounded start z0 = T + 2 J(1) left of it.
     ts = np.concatenate([np.linspace(-30.0, 30.0, 6001), np.linspace(-1e4, 1e4, 2001),
                          -np.logspace(4, 12, 81), np.logspace(4, 8, 41)])
-    tight = kernels.theta_root_batch(ts, CFG)[0]
-    loose = kernels.theta_root_batch(ts, NumericConfig(root_tol=1e-10))[0]
-    np.testing.assert_allclose(loose, tight, rtol=1e-14, atol=0.0)
+    ts = ts[np.abs(ts) >= T_SEAM]
+    fixed = kernels.theta_root_batch(ts)[0]
+    np.testing.assert_allclose(fixed, bracketed_theta_far(ts), rtol=1e-14, atol=0.0)
+
+
+def mp_k(z):
+    """K(z) = z sqrt(1 - z^-4) - 2 J(1) + 2 J(1/z) at the working precision,
+    with J(y) = (y^3/3) R_D(1 - y^2, 1 + y^2, 1)."""
+    y = 1 / z
+    two_j = [2 * v**3 / 3 * mp.elliprd(1 - v**2, 1 + v**2, 1) for v in (mp.mpf(1), y)]
+    return z * mp.sqrt(1 - y**4) - two_j[0] + two_j[1]
+
+
+# At the seam z* is smallest, so K' = sqrt(1 - z^-4) is smallest there and
+# the bound largest; at |t| >= 1e12 the rounded start sits left of z*.
+@pytest.mark.parametrize("t", [T_SEAM, -T_SEAM, 3.0, -100.0, 1e12, -1e12, 1e15, -1e15])
+def test_newton_step_count_meets_its_bound(t):
+    # The kernel solves K(z) = T from z0 = T + 2 J(1), both as it rounds them.
+    target = kernels.SQRT2 * (2.0 / 3.0) * abs(t) * np.sqrt(abs(t))
+    z0 = target + kernels._TWO_J1
+    with mp.workdps(MP_DPS):
+        z_star = mp.mpf(z0)
+        for _ in range(8):  # Newton from the right, in mpmath
+            z_star -= (mp_k(z_star) - mp.mpf(target)) / mp.sqrt(1 - z_star**-4)
+        e0 = abs(mp.mpf(z0) - z_star)
+        z_lo = min(mp.mpf(z0), z_star)
+        # e_(k+1) <= C e_k^2 with C = K''/(2 K') at the interval's low end,
+        # where K'' is largest and K' smallest; a start left of z* lands
+        # right of it after one step, and the bound carries on from there
+        c = 1 / (z_lo**5 - z_lo)
+        assert c * e0 < 1
+        rel = [e0 / (z_star - 1)]  # theta moves by at most e / (z* - 1), relative
+        e = e0
+        for _ in range(kernels._NEWTON_STEPS):
+            e = c * e * e
+            rel.append(e / (z_star - 1))
+        theta_star = (1 - 1 / z_star if t > 0 else 1 - z_star) / mp.sqrt(2)
+    assert rel[-1] <= EPS / 4
+    if abs(t) == T_SEAM:  # one step fewer is not enough where the bound is largest
+        assert rel[-2] > EPS
+    theta = kernels.theta_root_batch(np.array([t]))[0][0]
+    assert abs(theta - theta_star) <= 1e-14 * abs(theta_star)

@@ -135,8 +135,8 @@ def test_orbit_count_examples():
     ) == 0
 
 
-def test_orbit_count_explicit(cfg):
-    map_ = source_embedding_map("explicit", 2, HyperbolaFamily(1.0), cfg)
+def test_orbit_count_explicit():
+    map_ = source_embedding_map("explicit", 2, HyperbolaFamily(1.0))
     bases = map_.value(np.array([[t, 0.3] for t in [-5.0, -0.2, 0.0, 1.7]]))
     assert (orbit_intersection_count_grid(map_, bases, (-20, 20), 2001) == 1).all()
 
@@ -198,10 +198,10 @@ def test_orbit_count_rejects_bad_s_range(s_range):
 
 
 @pytest.mark.parametrize("source", ["psi_toy", "explicit"])
-def test_orbit_count_bisects_off_grid_crossing(source, cfg, monkeypatch):
+def test_orbit_count_bisects_off_grid_crossing(source, monkeypatch):
     # boosting an image point by an off-grid rapidity puts the crossing at
     # s = -0.0137, between two scan nodes, so only the bisection finds it
-    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), cfg)
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0))
     base = _boosted(map_.value_eval(ChartPoint(1.0, [0.5])), 0.0137)
     calls = []
     residual_at = transversality._residual_at
@@ -246,7 +246,7 @@ def _per_base_count(map_, base, s_range, samples):
 def test_orbit_count_grid_matches_per_base_scan(source, points, s_range, samples):
     # image points boosted by an off-grid rapidity s0 cross at s = -s0, off
     # the nodes and possibly outside the window; two bases off the image
-    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0), None)
+    map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0))
     t_lo = PSI_REGION_T_MIN + 1e-3 if source == "psi_toy" else -10.0
     chart = np.array([[t_lo + u * (10.0 - t_lo), x] for u, x, _ in points])
     bases = [_boosted(MinkowskiEvent.from_coords(e), s0).coords()
