@@ -11,8 +11,8 @@ Boosting by rapidity s scales u = y1 - tau by e^(-s), hence shifts the
 unwrapped phi by +2 s; the generator therefore shifts phi by one full
 period +2 pi, which is exactly the identification the quotient makes.
 
-The quotient map and its checks run on (m, N) event arrays; the pointwise
-forms on a MinkowskiEvent are those on a batch of one.
+The quotient map, its exact Jacobian and its checks run on (m, N) event
+arrays; pointwise forms on a MinkowskiEvent are those on a batch of one.
 """
 
 import math
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, central_diff, fd_steps
 from .errors import PreconditionError, RegionError
 from .minkowski import MinkowskiEvent, minkowski_eta, psi_toy_map
 from .explicit import HyperbolaFamily, explicit_embedding_map
@@ -152,38 +151,38 @@ def misner_metric(T, dim=2):
     if dim < 2:
         raise PreconditionError(f"dimension must be >= 2, got {dim}")
     T = np.asarray(T, dtype=float)
-    g = np.broadcast_to(np.eye(dim), T.shape + (dim, dim)).copy()
-    g[..., 0, 0] = 0.0
+    g = np.zeros(T.shape + (dim, dim))
+    g[..., 2:, 2:] = np.eye(dim - 2)
     g[..., 0, 1] = g[..., 1, 0] = -1.0
     g[..., 1, 1] = -T
     return g
 
 
-def quotient_jacobian(events, cfg=None):
-    """(m, N, N) central-difference Jacobians of the quotient map over
-    (m, N) events in the half-space; the stencil stays inside it."""
-    cfg = cfg or NumericConfig()
+def quotient_jacobian(events):
+    """(m, N, N) exact Jacobians of the quotient map at (m, N) events."""
     events = np.asarray(events, dtype=float)
-    u = require_region(events[:, 0], events[:, 1])
-    steps = np.minimum(fd_steps(events, cfg.fd_step), 0.25 * u[:, None])
-    return central_diff(quotient_map_coords, events, steps)
+    dphi = PHI_SIGN / require_region(events[:, 0], events[:, 1])  # dphi = PHI_SIGN du/u
+    jac = np.zeros(events.shape + events.shape[1:])
+    jac[:, 2:, 2:] = np.eye(events.shape[1] - 2)
+    jac[:, 0, 0], jac[:, 0, 1] = -0.5 * events[:, 0], 0.5 * events[:, 1]
+    jac[:, 1, 0], jac[:, 1, 1] = -dphi, dphi
+    return jac
 
 
-def quotient_isometry_residual_grid(events, cfg=None):
-    """Max-norm mismatch, per event of an (m, N) array, between the
-    quotient metric pulled back through the (finite-difference) Jacobian
-    of the quotient map and the flat metric; zero where the quotient map is
-    a local isometry."""
+def quotient_isometry_residual_grid(events):
+    """Max-norm mismatch, per event of an (m, N) array, between the flat
+    metric and the quotient metric pulled back through quotient_jacobian;
+    zero where the quotient map is a local isometry."""
     events = np.asarray(events, dtype=float)
-    jac = quotient_jacobian(events, cfg)
+    jac = quotient_jacobian(events)
     T = (events[:, 1] ** 2 - events[:, 0] ** 2) / 4.0
     back = np.swapaxes(jac, 1, 2) @ misner_metric(T, events.shape[1]) @ jac
     return np.abs(back - minkowski_eta(events.shape[1])).max(axis=(1, 2))
 
 
-def quotient_isometry_residual(e, cfg=None):
+def quotient_isometry_residual(e):
     """quotient_isometry_residual_grid at one event."""
-    return float(quotient_isometry_residual_grid(e.batch(), cfg)[0])
+    return float(quotient_isometry_residual_grid(e.batch())[0])
 
 
 def source_embedding_map(source, n=2, family=None):

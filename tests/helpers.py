@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 
 from sigembed import EmbeddingMap
-from sigembed.misner import boost_tau_y1
+from sigembed.config import DEFAULT_FD_STEP, central_diff, fd_steps
+from sigembed.misner import boost_tau_y1, quotient_map_coords
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -101,3 +102,13 @@ def boosted_frame_map(map_, rapidity):
         return jac
 
     return dataclasses.replace(map_, value=value, jacobian=jacobian)
+
+
+def fd_quotient_jacobian(events):
+    """Central-difference Jacobians of the quotient map over (m, N) events,
+    each step capped at u/4 so that the stencil stays inside the half-space;
+    the oracle of the exact misner.quotient_jacobian."""
+    events = np.asarray(events, dtype=float)
+    u = events[:, 1] - events[:, 0]
+    steps = np.minimum(fd_steps(events, DEFAULT_FD_STEP), 0.25 * u[:, None])
+    return central_diff(quotient_map_coords, events, steps)

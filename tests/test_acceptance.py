@@ -83,7 +83,7 @@ def test_criterion_3_asymptotics():
 
 
 def test_criterion_4_misner_quotient():
-    quot = check_quotient_isometry(count=1000, tol=1e-6, cfg=CFG)
+    quot = check_quotient_isometry(count=1000, tol=1e-6)
     shift = check_boost_identification(count=200, tol=1e-12)
     trip = check_misner_roundtrip(count=1000, tol=1e-12)
     _report(

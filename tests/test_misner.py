@@ -1,11 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import fd_quotient_jacobian
 from sigembed import (ChartPoint, MinkowskiEvent, MisnerEvent, RegionError,
                       compose_embedding, from_misner, misner_metric,
                       quotient_isometry_residual, to_misner)
-from sigembed.misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1,
+from sigembed.misner import (GENERATOR_RAPIDITY, PHI_SIGN, TWO_PI, boost_tau_y1,
+                             quotient_isometry_residual_grid, quotient_jacobian,
                              require_region)
+from sigembed.verify import sample_region_events
 
 E = np.e
 PI = np.pi
@@ -113,14 +117,26 @@ def test_misner_metric_blocks():
         assert np.linalg.det(misner_metric(T)) == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_quotient_isometry_residual_examples(cfg):
-    assert quotient_isometry_residual(MinkowskiEvent(0.0, [2.0]), cfg) <= 1e-8
-    assert quotient_isometry_residual(MinkowskiEvent(-1.0, [3.0]), cfg) <= 1e-8
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("T", [0.0, -2.5, np.linspace(-5.0, 5.0, 7).reshape(7, 1)])
+def test_misner_metric_bitwise_equal_to_entrywise_build(T, dim):
+    T = np.asarray(T, dtype=float)
+    ref = np.empty(T.shape + (dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            ref[..., i, j] = float(i == j and i >= 2) - float(i + j == 1)
+    ref[..., 1, 1] = -T
+    assert misner_metric(T, dim).tobytes() == ref.tobytes()
+
+
+def test_quotient_isometry_residual_examples():
+    assert quotient_isometry_residual(MinkowskiEvent(0.0, [2.0])) <= 1e-8
+    assert quotient_isometry_residual(MinkowskiEvent(-1.0, [3.0])) <= 1e-8
     with pytest.raises(RegionError):
-        quotient_isometry_residual(MinkowskiEvent(1.0, [0.0]), cfg)
+        quotient_isometry_residual(MinkowskiEvent(1.0, [0.0]))
 
 
-def test_quotient_isometry_random_scan(cfg):
+def test_quotient_isometry_random_scan():
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(300):
@@ -128,8 +144,58 @@ def test_quotient_isometry_random_scan(cfg):
         u = rng.uniform(0.3, 6.0)
         spect = rng.uniform(-2, 2, size=1)
         e = MinkowskiEvent(tau, np.concatenate(([tau + u], spect)))
-        worst = max(worst, quotient_isometry_residual(e, cfg))
+        worst = max(worst, quotient_isometry_residual(e))
     assert worst <= 1e-6
+
+
+def test_quotient_jacobian_matches_fd_oracle():
+    # the battery's own sample, at the quotient_isometry tolerance
+    events = sample_region_events(1000)
+    err = np.abs(quotient_jacobian(events) - fd_quotient_jacobian(events)).max()
+    assert err <= 1e-6
+
+
+def _mp_quotient_jacobian(event):
+    """Jacobian of (T, phi_raw, spectators) at one event, each entry an
+    mpmath derivative at 40 digits of the chart formulas."""
+    n = len(event)
+    x = [mp.mpf(float(c)) for c in event]
+
+    def component(i):
+        if i == 0:
+            return lambda *c: (c[1] ** 2 - c[0] ** 2) / 4
+        if i == 1:
+            return lambda *c: PHI_SIGN * mp.log((c[1] - c[0]) / 2)
+        return lambda *c: c[i]
+
+    with mp.workdps(40):
+        return [[mp.diff(component(i), x, tuple(int(k == j) for k in range(n)))
+                 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("tau", [-100.0, 0.0, 100.0])
+@pytest.mark.parametrize("log_u", [-5.0, 0.0, 5.0])
+def test_quotient_jacobian_against_mpmath(log_u, tau, n):
+    event = np.array([tau, tau + np.exp(log_u), 0.5, -1.25, 2.0][:n])
+    jac = quotient_jacobian(event[None])[0]
+    ref = _mp_quotient_jacobian(event)
+    for i in range(n):
+        for j in range(n):
+            assert abs(jac[i, j] - ref[i][j]) <= 1e-14 * abs(ref[i][j]) + 1e-30, (i, j)
+
+
+def test_quotient_isometry_wide_domain():
+    """The exact pullback holds to 1e-10 over log u in [-5, 5], where a
+    finite-difference Jacobian misses by about 1e-3 (g_phiphi = -T amplifies
+    its error).  At |tau| <= 100 the exact pullback still loses about 2e-8
+    absolute to cancellation in T (dphi)^2; light-cone coordinates would
+    remove it."""
+    rng = np.random.default_rng(53)
+    # columns tau, log u and one spectator, drawn row by row
+    events = rng.uniform([-3.0, -5.0, -2.0], [3.0, 5.0, 2.0], size=(2000, 3))
+    events[:, 1] = events[:, 0] + np.exp(events[:, 1])
+    assert quotient_isometry_residual_grid(events).max() <= 1e-10
 
 
 def test_boost_shifts_phi_raw_by_one_period():
@@ -178,10 +244,10 @@ def test_misner_event_validation():
     assert m.branch == 2
 
 
-def test_quotient_isometry_higher_dimension(cfg):
+def test_quotient_isometry_higher_dimension():
     # spectators beyond one: the quotient block is still a local isometry
     e = MinkowskiEvent(0.4, [2.1, -0.8, 1.6, 0.2])
-    assert quotient_isometry_residual(e, cfg) <= 1e-8
+    assert quotient_isometry_residual(e) <= 1e-8
 
 
 def test_compose_psi_higher_dimension():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigembed.config import DEFAULT_FD_STEP, NumericConfig, fd_steps
-from sigembed import verify
+from sigembed import misner, verify
 from sigembed.verify import (PSI_REGION_T_MIN, _duplicate_rows, _lc_draws,
                              _off_kink_points, run_all)
 
@@ -99,3 +99,44 @@ def test_full_battery_is_block_invariant(block_rows, full_battery, monkeypatch):
     # isometry sweeps raggedly; 10**9 runs each sweep as one block
     monkeypatch.setattr(verify, "_BLOCK_ROWS", block_rows)
     assert [r.as_dict() for r in run_all(quick=False)] == full_battery
+
+
+def _scale_T(quotient_map_coords):
+    def scaled(events):
+        quotient = quotient_map_coords(events)
+        quotient[..., 0] *= 1.001
+        return quotient
+    return scaled
+
+
+def _flip_dT_dtau(quotient_jacobian):
+    def flipped(events):
+        jac = quotient_jacobian(events)
+        jac[:, 0, 0] *= -1.0
+        return jac
+    return flipped
+
+
+_FUNCTORIALITY = {"pullback_functoriality_explicit", "pullback_functoriality_psi_toy"}
+_FLIPPED_JACOBIAN = _flip_dT_dtau(misner.quotient_jacobian)
+
+
+@pytest.mark.parametrize("patches, killed", [
+    ([(misner, "PHI_SIGN", 2.0)],
+     {"quotient_isometry", "boost_identification"} | _FUNCTORIALITY),
+    ([(verify, "quotient_map_coords", _scale_T(verify.quotient_map_coords))],
+     {"misner_roundtrip"} | _FUNCTORIALITY),
+    # quotient_isometry reads the Jacobian through misner, the
+    # functoriality checks' route b through verify
+    ([(misner, "quotient_jacobian", _FLIPPED_JACOBIAN)], {"quotient_isometry"}),
+    ([(misner, "quotient_jacobian", _FLIPPED_JACOBIAN),
+      (verify, "quotient_jacobian", _FLIPPED_JACOBIAN)],
+     {"quotient_isometry"} | _FUNCTORIALITY),
+], ids=["phi_sign_plus_2", "T_scaled_1.001", "dT_dtau_flipped_in_misner",
+        "dT_dtau_flipped_everywhere"])
+def test_quotient_defects_fail_exactly_their_checks(patches, killed, monkeypatch):
+    # seeded defects of the quotient layer, each patched where the battery
+    # reads the name; the full battery must fail these checks and no other
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    assert {r.name for r in run_all(quick=False) if not r.passed} == killed
