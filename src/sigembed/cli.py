@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from .config import NumericConfig
 from .errors import RegionError, SigembedError
 from .explicit import HyperbolaFamily, explicit_embedding_map
 from .minkowski import MinkowskiEvent, psi_toy_map
@@ -33,11 +32,15 @@ from .modelfile import load_model
 from .verify import run_all, run_user_model
 from . import __version__
 
+# Version of the verify report and the --format json payloads; "3" dropped
+# config.tolerances.
+SCHEMA = "3"
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema", "command", "config", "checks", "timing_ms"],
     "properties": {
-        "schema": {"const": "2"},
+        "schema": {"const": SCHEMA},
         "command": {"type": "string"},
         "config": {"type": "object"},
         "checks": {
@@ -66,7 +69,6 @@ class RunConfig:
     t_range: tuple = (-3.0, 3.0, 601)
     x_fixed: tuple = ()
     shift: float = 0.0
-    tolerances: NumericConfig = NumericConfig()
     output_path: str = None
     format: str = "csv"
 
@@ -93,7 +95,7 @@ def _emit_table(columns, rows, run_cfg):
         _write_text(run_cfg.output_path, ",".join(columns) + "\n" + body)
     else:
         payload = {
-            "schema": "2",
+            "schema": SCHEMA,
             "command": run_cfg.command,
             "config": run_cfg.as_dict(),
             "columns": list(columns),
@@ -236,7 +238,7 @@ def cmd_verify(args):
         results = run_all(perturb_scale=args.perturb_scale, quick=not args.full)
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
     report = {
-        "schema": "2",
+        "schema": SCHEMA,
         "command": "verify",
         "config": run_cfg.as_dict(),
         "checks": [r.as_dict() for r in results],

@@ -1,34 +1,24 @@
-"""Numeric settings of the finite-difference layers."""
-
-from dataclasses import dataclass
+"""The finite-difference step and the shared central-difference stencil."""
 
 import numpy as np
 
+from .errors import NumericalError
+
 # Optimal central-difference step for first derivatives, scaled per
-# coordinate as fd_step * max(1, |x|).
-DEFAULT_FD_STEP = float(np.cbrt(np.finfo(float).eps))
+# coordinate as FD_STEP * max(1, |x|).
+FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Base step of the finite-difference Jacobians and derivatives."""
-
-    fd_step: float = DEFAULT_FD_STEP
-
-    def __post_init__(self):
-        if not (self.fd_step > 0.0 and np.isfinite(self.fd_step)):
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
-
-
-def fd_steps(coords, base_step):
-    """Per-coordinate central-difference steps, scaled by magnitude."""
+def fd_steps(coords):
+    """Per-coordinate central-difference steps FD_STEP * max(1, |x|) of an
+    array of points, one per row; NumericalError names the first row that
+    is not finite."""
     coords = np.asarray(coords, dtype=float)
-    steps = base_step * np.maximum(1.0, np.abs(coords))
-    if not np.isfinite(steps).all() or (steps <= 0.0).any():
-        from .errors import NumericalError
-
-        raise NumericalError(f"finite-difference step underflow/overflow: {steps}")
-    return steps
+    finite = np.isfinite(coords).reshape(len(coords), -1).all(axis=1)
+    if not finite.all():
+        raise NumericalError(
+            f"finite-difference step at non-finite coordinates {coords[~finite][0]}")
+    return FD_STEP * np.maximum(1.0, np.abs(coords))
 
 
 def central_diff(func, coords, steps):

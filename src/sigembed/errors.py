@@ -17,15 +17,9 @@ class EvaluationError(SigembedError):
 
 
 class DomainError(SigembedError):
-    """Input lies outside the mathematical domain of an operation."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested at (or beyond) a pole of the hyperbola branch."""
-
-
-class DivergenceError(DomainError):
-    """The arc-length integral diverges at or beyond the requested point."""
+    """Input lies outside the mathematical domain of an operation (such as a
+    theta at or beyond the hyperbola branch's pole, where the arc integral
+    diverges)."""
 
 
 class RegionError(DomainError):
@@ -43,7 +37,8 @@ class RegionError(DomainError):
 
 
 class PreconditionError(SigembedError):
-    """A documented operation precondition was violated by the caller."""
+    """A documented operation precondition was violated by the caller (such
+    as a map lacking data the operation needs)."""
 
 
 class ImmersionError(SigembedError):
@@ -55,8 +50,5 @@ class ImmersionError(SigembedError):
 
 
 class NumericalError(SigembedError):
-    """A numerical kernel failed (eigen-solver, step underflow, ...)."""
-
-
-class CapabilityError(SigembedError):
-    """The supplied map lacks data required by the requested operation."""
+    """A numerical kernel failed: the eigen-solver, or a finite-difference
+    step at a non-finite coordinate."""

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import SEED_SLOPE, SQRT2, THETA_POLE
-from .config import NumericConfig
-from .errors import DivergenceError, PoleError
+from .config import fd_steps
+from .errors import DomainError
 from .minkowski import EmbeddingMap
 
 
@@ -60,7 +60,7 @@ def hyperbola_xi(theta, family=HyperbolaFamily()):
     theta0 = theta + family.offset
     beyond = theta0 >= THETA_POLE
     if beyond.any():
-        raise PoleError(
+        raise DomainError(
             f"theta = {theta[beyond][0]} is at or beyond the branch pole "
             f"(base parameter {theta0[beyond][0]} >= {THETA_POLE})"
         )
@@ -72,19 +72,10 @@ def _arc_domain(theta):
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if theta >= THETA_POLE:
-        raise DivergenceError(
+        raise DomainError(
             f"arc integral diverges for theta >= 1/sqrt(2); got theta = {theta}"
         )
     return theta
-
-
-def arc_integral(theta):
-    """I(theta) = integral_0^theta sqrt(|4/(sqrt2 - 2 s)^4 - 1|) ds.
-
-    Negative for theta < 0; diverges as theta -> 1/sqrt(2) from below.
-    """
-    values, _ = _kernels.arc_integral_batch(np.array([_arc_domain(theta)]))
-    return float(values[0])
 
 
 def t_of_theta_grid(thetas):
@@ -143,12 +134,6 @@ def embed_explicit_grid(ts, family=HyperbolaFamily()):
     return tau, hyperbola_xi(tau, family)
 
 
-def embed_explicit(p, family=HyperbolaFamily()):
-    """Global embedding of a chart point; the spatial coordinates ride
-    along unchanged."""
-    return explicit_embedding_map(p.n, family).value_eval(p)
-
-
 def explicit_embedding_map(n=2, family=HyperbolaFamily()):
     """EmbeddingMap of the global construction (target dim n + 1)."""
 
@@ -189,21 +174,15 @@ def explicit_embedding_map(n=2, family=HyperbolaFamily()):
     )
 
 
-def ode_residual_grid(ts, family=HyperbolaFamily(), cfg=None):
+def ode_residual_grid(ts, family=HyperbolaFamily()):
     """|-theta'(t)^2 + xi'(t)^2 + t| over an array of t, by central
     differences of embed_explicit_grid on a (2, m) stencil; the defining
     first-order isometry identity."""
-    cfg = cfg or NumericConfig()
     ts = np.asarray(ts, dtype=float)
-    h = cfg.fd_step * np.maximum(1.0, np.abs(ts))
+    h = fd_steps(ts)
     # keep the stencil off the |t| kink at 0
     h = np.where((ts != 0.0) & (np.abs(ts) < 2.0 * h), 0.5 * np.abs(ts), h)
     theta, xi = embed_explicit_grid(np.stack([ts - h, ts + h]), family)
     dtheta = (theta[1] - theta[0]) / (2.0 * h)
     dxi = (xi[1] - xi[0]) / (2.0 * h)
     return np.abs(-(dtheta**2) + dxi**2 + ts)
-
-
-def ode_residual(t, family=HyperbolaFamily(), cfg=None):
-    """ode_residual_grid at one t."""
-    return float(ode_residual_grid(np.array([float(t)]), family, cfg)[0])

@@ -11,8 +11,7 @@ degeneracy locus and its transverse radical, light-cone regularity of the
 quadratic form, and positive definiteness of the spatial slices.
 
 Every operation is batch-first: its ``*_grid`` form takes an (m, n) array
-of chart coordinates, t first, and the pointwise form on a ChartPoint is
-that grid form on a batch of one.
+of chart coordinates, t first.
 """
 
 import enum
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, central_diff, fd_steps
+from .config import central_diff, fd_steps
 from .errors import EvaluationError, NumericalError, PreconditionError
 
 
@@ -53,11 +52,6 @@ class ChartPoint:
         """The coordinates as a batch of one, shape (1, n)."""
         return self.coords()[None, :]
 
-    @classmethod
-    def from_coords(cls, coords):
-        coords = np.asarray(coords, dtype=float)
-        return cls(coords[0], coords[1:])
-
 
 class SignatureClass(enum.IntEnum):
     """Signature class as a sign code; for the canonical model it is sign(t)."""
@@ -65,15 +59,6 @@ class SignatureClass(enum.IntEnum):
     RIEMANNIAN = -1
     DEGENERATE = 0
     LORENTZIAN = 1
-
-
-@dataclass(frozen=True)
-class SignatureReport:
-    signature_class: SignatureClass
-    negative_count: int
-    zero_count: int
-    positive_count: int
-    min_abs_eigenvalue: float
 
 
 @dataclass(frozen=True)
@@ -160,11 +145,6 @@ def eval_metric_grid(model, coords):
     return g
 
 
-def eval_metric(model, p):
-    """Metric components at p, validated to be finite and symmetric."""
-    return eval_metric_grid(model, p.batch())[0]
-
-
 def _spatial_eigenvalues(block):
     # unordered (m, k) eigenvalues of (m, k, k) blocks; eigvalsh only where coupled
     eig = np.diagonal(block, axis1=1, axis2=2).copy()
@@ -182,11 +162,19 @@ def _require_tol(tol):
         raise PreconditionError(f"tol must be positive and finite, got {tol}")
 
 
-def _signature_grid(model, coords, tol):
-    # block form: eigenvalues g_tt and the spatial block's, one row each
+def classify_signature_grid(model, coords, tol=1e-10):
+    """Eigenvalue signature classes over an (m, n) coordinate array.
+
+    Eigenvalues within ``tol`` (relative to the largest magnitude at the
+    point) of zero count as zero; degeneracy is a legitimate class, not an
+    error.  Returns (classes, negative, zero, positive) arrays; classes
+    are int8 SignatureClass codes: -1 Riemannian, 0 degenerate, +1
+    Lorentzian.
+    """
     _require_tol(tol)
     coords = np.asarray(coords, dtype=float)
     g = eval_metric_grid(model, coords)
+    # block form: eigenvalues g_tt and the spatial block's, one row each
     eig = np.stack([g[:, 0, 0], *_spatial_eigenvalues(g[:, 1:, 1:]).T])
     band = tol * np.abs(eig).max(axis=0)
     neg = (eig < -band).sum(axis=0)
@@ -201,31 +189,7 @@ def _signature_grid(model, coords, tol):
         )
     # past the guard neg <= 1 wherever zero == 0
     codes = np.where(zero > 0, 0, 2 * neg - 1).astype(np.int8)
-    return codes, neg, zero, pos, eig
-
-
-def classify_signature_grid(model, coords, tol=1e-10):
-    """Eigenvalue signature classes over an (m, n) coordinate array.
-
-    Eigenvalues within ``tol`` (relative to the largest magnitude at the
-    point) of zero count as zero; degeneracy is a legitimate class, not an
-    error.  Returns (classes, negative, zero, positive) arrays; classes
-    are int8 SignatureClass codes: -1 Riemannian, 0 degenerate, +1
-    Lorentzian.
-    """
-    return _signature_grid(model, coords, tol)[:4]
-
-
-def classify_signature(model, p, tol=1e-10):
-    """Eigenvalue signature of the metric at p (see classify_signature_grid)."""
-    codes, neg, zero, pos, eig = _signature_grid(model, p.batch(), tol)
-    return SignatureReport(
-        signature_class=SignatureClass(int(codes[0])),
-        negative_count=int(neg[0]),
-        zero_count=int(zero[0]),
-        positive_count=int(pos[0]),
-        min_abs_eigenvalue=float(np.abs(eig[:, 0]).min()),
-    )
+    return codes, neg, zero, pos
 
 
 def _adjugate(a):
@@ -239,7 +203,7 @@ def _adjugate(a):
     return adj
 
 
-def metric_derivatives_grid(model, coords, cfg=None):
+def metric_derivatives_grid(model, coords):
     """d g_{mu nu} / d x^kappa over an (m, n) coordinate array, as
     (m, n, n, n) indexed [point, kappa, mu, nu].
 
@@ -256,19 +220,11 @@ def metric_derivatives_grid(model, coords, cfg=None):
                 f"expected {(coords.shape[0], n, n, n)}"
             )
         return dg
-    cfg = cfg or NumericConfig()
-    dg = central_diff(lambda c: eval_metric_grid(model, c), coords,
-                      fd_steps(coords, cfg.fd_step))
+    dg = central_diff(lambda c: eval_metric_grid(model, c), coords, fd_steps(coords))
     return np.moveaxis(dg, -1, 1)
 
 
-def metric_derivatives(model, p, cfg=None):
-    """d g_{mu nu} / d x^kappa at p as an (n, n, n) array indexed
-    [kappa, mu, nu]."""
-    return metric_derivatives_grid(model, p.batch(), cfg)[0]
-
-
-def radical_transversality_grid(model, coords, tol=1e-10, cfg=None):
+def radical_transversality_grid(model, coords, tol=1e-10):
     """(det, grad_det, is_transverse) of the metric determinant over an
     (m, n) coordinate array.
 
@@ -282,23 +238,16 @@ def radical_transversality_grid(model, coords, tol=1e-10, cfg=None):
     if model.derivatives is not None:
         # Jacobi's formula d(det)/dx^k = tr(adj(g) dg_k); adjugate stays
         # finite on the degenerate locus where det * inv(g) would not.
-        dg = metric_derivatives_grid(model, coords, cfg)
+        dg = metric_derivatives_grid(model, coords)
         grad = np.einsum("mij,mkji->mk", _adjugate(g), dg)
     else:
-        cfg = cfg or NumericConfig()
         grad = central_diff(lambda c: np.linalg.det(eval_metric_grid(model, c)),
-                            coords, fd_steps(coords, cfg.fd_step))
+                            coords, fd_steps(coords))
     is_transverse = (np.abs(det) > tol) | (np.linalg.norm(grad, axis=1) > tol)
     return det, grad, is_transverse
 
 
-def radical_transversality(model, p, tol=1e-10, cfg=None):
-    """(det, grad_det, is_transverse) of the metric determinant at p."""
-    det, grad, is_transverse = radical_transversality_grid(model, p.batch(), tol, cfg)
-    return float(det[0]), grad[0], bool(is_transverse[0])
-
-
-def lc_regularity_grid(model, coords, directions, tol=1e-9, cfg=None):
+def lc_regularity_grid(model, coords, directions, tol=1e-9):
     """Flags over (m, n) points and (m, n) null directions v: True where
     the full differential of the quadratic form G(p, v) = v^T g v is
     nonzero.
@@ -324,16 +273,10 @@ def lc_regularity_grid(model, coords, directions, tol=1e-9, cfg=None):
         raise PreconditionError(
             f"v is not null within tolerance: |G(p, v)| = {value.max():.3e} > {tol:.3e}"
         )
-    dg = metric_derivatives_grid(model, coords, cfg)
+    dg = metric_derivatives_grid(model, coords)
     base = np.einsum("mkij,mi,mj->mk", dg, v, v)
     differential = np.concatenate([base, 2.0 * gv], axis=1)
     return np.linalg.norm(differential, axis=1) > tol
-
-
-def lc_regularity_at(model, p, v, tol=1e-9, cfg=None):
-    """lc_regularity_grid at one point and direction."""
-    v = np.asarray(v, dtype=float)[None, :]
-    return bool(lc_regularity_grid(model, p.batch(), v, tol, cfg)[0])
 
 
 def slice_metric_grid(model, coords):
@@ -341,9 +284,3 @@ def slice_metric_grid(model, coords):
     positive-definite flags."""
     block = eval_metric_grid(model, coords)[:, 1:, 1:]
     return block, _spatial_eigenvalues(block).min(axis=1) > 0.0
-
-
-def slice_metric(model, t, spatial):
-    """Spatial block at (t, x) and its positive-definite flag."""
-    block, positive_definite = slice_metric_grid(model, ChartPoint(t, spatial).batch())
-    return block[0], bool(positive_definite[0])

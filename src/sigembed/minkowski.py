@@ -6,15 +6,14 @@ pulling the flat metric eta = diag(-1, +1, ..., +1) back through the
 embedding Jacobian and comparing against the source metric.
 
 Maps evaluate (m, n) coordinate arrays, and each operation has one
-implementation on such a grid; its pointwise form on a ChartPoint is that
-grid form on a batch of one.
+implementation on such a grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, central_diff, fd_steps
+from .config import central_diff, fd_steps
 from .errors import DomainError, EvaluationError, ImmersionError, PreconditionError
 from .metric import eval_metric_grid
 
@@ -113,14 +112,9 @@ def temporal_f(t):
     return -(2.0 / 3.0) * (1.0 + _psi_time(t)) ** 1.5
 
 
-def psi_toy(p):
-    """(f(t), t, x^1, ..., x^{n-1}): the canonical-model embedding, target
-    dimension n + 1."""
-    return psi_toy_map(p.n).value_eval(p)
-
-
 def psi_toy_map(n=2):
-    """EmbeddingMap of ``psi_toy`` for an n-dimensional source."""
+    """EmbeddingMap of the canonical-model embedding (t, x) -> (f(t), t, x)
+    for an n-dimensional source, target dimension n + 1."""
 
     def value(coords):
         out = np.empty((coords.shape[0], n + 1))
@@ -151,7 +145,7 @@ def psi_toy_map(n=2):
     )
 
 
-def jacobian_grid(map_, coords, mode="analytic", cfg=None):
+def jacobian_grid(map_, coords, mode="analytic"):
     """(m, N, n) Jacobians over an (m, n) coordinate array in the requested
     mode ('analytic' or 'finite_difference')."""
     coords = np.asarray(coords, dtype=float)
@@ -162,14 +156,8 @@ def jacobian_grid(map_, coords, mode="analytic", cfg=None):
             )
         return np.asarray(map_.jacobian(coords), dtype=float)
     if mode == "finite_difference":
-        cfg = cfg or NumericConfig()
-        return central_diff(map_.value, coords, fd_steps(coords, cfg.fd_step))
+        return central_diff(map_.value, coords, fd_steps(coords))
     raise ValueError(f"unknown Jacobian mode {mode!r}")
-
-
-def map_jacobian(map_, p, mode="analytic", cfg=None):
-    """Jacobian (N x n) at p in the requested mode."""
-    return jacobian_grid(map_, p.batch(), mode, cfg)[0]
 
 
 def _pullback_gram(jac):
@@ -193,7 +181,7 @@ def _pullback_gram(jac):
     return back, low > _GRAM_MARGIN * high
 
 
-def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
+def pullback_grid(map_, model, coords, mode="analytic"):
     """Pullbacks J^T eta J of the flat metric over an (m, n) coordinate
     array, as (m, n, n).
 
@@ -208,7 +196,7 @@ def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
             f"dimension {map_.source_dim}"
         )
     coords = np.asarray(coords, dtype=float)
-    jac = jacobian_grid(map_, coords, mode, cfg)
+    jac = jacobian_grid(map_, coords, mode)
     if not np.isfinite(jac).all():
         finite = np.isfinite(jac).all(axis=(1, 2))
         raise EvaluationError(f"non-finite embedding Jacobian at {coords[~finite][0]}")
@@ -225,19 +213,9 @@ def pullback_grid(map_, model, coords, mode="analytic", cfg=None):
     return back
 
 
-def pullback(map_, model, p, mode="analytic", cfg=None):
-    """Pullback of the flat metric through the embedding at p."""
-    return pullback_grid(map_, model, p.batch(), mode, cfg)[0]
-
-
-def isometry_residual_grid(map_, model, coords, mode="analytic", cfg=None):
+def isometry_residual_grid(map_, model, coords, mode="analytic"):
     """Max-norm mismatch between the pulled-back flat metric and the model
     metric over an (m, n) coordinate grid; zero exactly when the embedding
     is isometric there."""
-    back = pullback_grid(map_, model, coords, mode, cfg)
+    back = pullback_grid(map_, model, coords, mode)
     return float(np.abs(back - eval_metric_grid(model, coords)).max())
-
-
-def isometry_residual(map_, model, p, mode="analytic", cfg=None):
-    """isometry_residual_grid at one point."""
-    return isometry_residual_grid(map_, model, p.batch(), mode, cfg)

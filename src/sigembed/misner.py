@@ -12,7 +12,7 @@ unwrapped phi by +2 s; the generator therefore shifts phi by one full
 period +2 pi, which is exactly the identification the quotient makes.
 
 The quotient map, its exact Jacobian and its checks run on (m, N) event
-arrays; pointwise forms on a MinkowskiEvent are those on a batch of one.
+arrays.
 """
 
 import math
@@ -197,13 +197,3 @@ def source_embedding_map(source, n=2, family=None):
         family = family if family is not None else HyperbolaFamily(shift=1.0)
         return explicit_embedding_map(n, family)
     raise ValueError(f"unknown source embedding {source!r}")
-
-
-def compose_embedding(p, source="explicit", family=None):
-    """Quotient image of a chart point through the chosen embedding.
-
-    The ambient image must land in the half-space; violations raise a
-    RegionError naming the offending (tau, y1) pair rather than silently
-    restricting the domain.
-    """
-    return to_misner(source_embedding_map(source, p.n, family).value_eval(p))

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .minkowski import jacobian_grid
 from .misner import boost_tau_y1, require_region
 
@@ -32,7 +32,7 @@ def _killing(events):
     return k
 
 
-def tangency_residual_grid(map_, coords, mode="analytic", cfg=None):
+def tangency_residual_grid(map_, coords, mode="analytic"):
     """Normalised least-squares defect of fitting the Killing vector into
     the image tangent space, over an (m, n) coordinate array; strictly
     positive iff K is not tangent there, i.e. the image is transverse to
@@ -49,7 +49,7 @@ def tangency_residual_grid(map_, coords, mode="analytic", cfg=None):
             "orbit degenerates at the boost fixed point (tau = y1 = 0); "
             "tangency is undefined there"
         )
-    jac = jacobian_grid(map_, coords, mode, cfg)
+    jac = jacobian_grid(map_, coords, mode)
     # Spatial tangents must not all align with the first spatial axis,
     # otherwise a positive residual does not certify transversality.
     if jac.shape[1] > 2:
@@ -64,11 +64,6 @@ def tangency_residual_grid(map_, coords, mode="analytic", cfg=None):
     rcond = np.finfo(float).eps * max(jac.shape[1:])
     coef = np.linalg.pinv(jac, rcond) @ k[:, :, None]
     return np.linalg.norm(k - (jac @ coef)[:, :, 0], axis=1) / k_norm
-
-
-def tangency_residual(map_, p, mode="analytic", cfg=None):
-    """tangency_residual_grid at one chart point."""
-    return float(tangency_residual_grid(map_, p.batch(), mode, cfg)[0])
 
 
 def toy_tangency_poly(t):
@@ -123,7 +118,7 @@ def orbit_intersection_count_grid(map_, bases, s_range=(-20.0, 20.0), samples=20
     if not (lo < hi and np.isfinite([lo, hi]).all()):
         raise PreconditionError(f"s_range must be finite with lo < hi, got {s_range}")
     if map_.on_image_residual is None:
-        raise CapabilityError("orbit scans need the map's on_image_residual")
+        raise PreconditionError("orbit scans need the map's on_image_residual")
     bases = np.asarray(bases, dtype=float)
     require_region(bases[:, 0], bases[:, 1])
     s_grid = np.linspace(lo, hi, samples)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericConfig, central_diff, fd_steps
+from .config import FD_STEP, central_diff, fd_steps
 from .errors import RegionError
 from .metric import (classify_signature_grid, eval_metric_grid, lc_regularity_grid,
                      radical_transversality_grid, slice_metric_grid, toy_model)
@@ -107,14 +107,14 @@ def perturbed_psi_map(n=2, scale=1.01):
 
 
 def check_isometry_psi(n=2, mode="finite_difference", t_count=200, x_count=50,
-                       tol=None, scale=1.0, cfg=None):
+                       tol=None, scale=1.0):
     tol = tol if tol is not None else (1e-12 if mode == "analytic" else 1e-6)
     model = toy_model(n)
     map_ = psi_toy_map(n) if scale == 1.0 else perturbed_psi_map(n, scale)
     coords = _grid_coords(n, (-0.99, 10.0), (-5.0, 5.0), t_count, x_count)
     return CheckResult.within(
         f"isometry_psi_n{n}_{mode}",
-        max(isometry_residual_grid(map_, model, coords[block], mode, cfg)
+        max(isometry_residual_grid(map_, model, coords[block], mode)
             for block in _blocks(len(coords), 2 * n)), tol,
         f"t in [-0.99, 10] x{t_count}, x in [-5, 5] x{x_count}, n={n}")
 
@@ -167,12 +167,11 @@ def _lc_draws(rng, samples, n, x_span):
     return coords, directions
 
 
-def _lc_failures(model, rng, samples, x_span, cfg=None):
+def _lc_failures(model, rng, samples, x_span):
     """Seeded null directions on t = 0 at which light-cone regularity fails;
     there they span the radical, for any positive-definite spatial block."""
     coords, directions = _lc_draws(rng, samples, model.dimension, x_span)
-    return int(np.count_nonzero(~lc_regularity_grid(model, coords, directions,
-                                                    1e-9, cfg)))
+    return int(np.count_nonzero(~lc_regularity_grid(model, coords, directions, 1e-9)))
 
 
 def _locus_points(rng, samples, n, x_span):
@@ -181,42 +180,39 @@ def _locus_points(rng, samples, n, x_span):
                             rng.uniform(-x_span, x_span, size=(samples, n - 1))])
 
 
-def check_lc_regularity(dims=(2, 3, 4), samples_per_dim=334, seed=7, cfg=None):
+def check_lc_regularity(dims=(2, 3, 4), samples_per_dim=334, seed=7):
     rng = np.random.default_rng(seed)
-    failures = sum(_lc_failures(toy_model(n), rng, samples_per_dim, 5.0, cfg)
-                   for n in dims)
+    failures = sum(_lc_failures(toy_model(n), rng, samples_per_dim, 5.0) for n in dims)
     total = samples_per_dim * len(dims)
     return CheckResult.from_failures(
         "lc_regularity_on_locus", failures,
         f"{total} null directions on t=0, n in {list(dims)}")
 
 
-def check_radical_transversality(dims=(2, 3), samples_per_dim=100, seed=11,
-                                 cfg=None):
-    cfg = cfg or NumericConfig()
+def check_radical_transversality(dims=(2, 3), samples_per_dim=100, seed=11):
     rng = np.random.default_rng(seed)
     worst_grad_err = 0.0
     failures = 0
     for n in dims:
         model = toy_model(n)
         coords = _locus_points(rng, samples_per_dim, n, 5.0)
-        det, grad, transverse = radical_transversality_grid(model, coords, cfg=cfg)
+        det, grad, transverse = radical_transversality_grid(model, coords)
         _, grad_fd, _ = radical_transversality_grid(
-            dataclasses.replace(model, derivatives=None), coords, cfg=cfg)
+            dataclasses.replace(model, derivatives=None), coords)
         failures += int(np.count_nonzero(~(transverse & (np.abs(det) <= 1e-12))))
         worst_grad_err = max(worst_grad_err, float(np.abs(grad - grad_fd).max()))
     total = samples_per_dim * len(dims)
     return CheckResult.within(
-        "radical_transversality_on_locus", worst_grad_err, 10.0 * cfg.fd_step**2,
+        "radical_transversality_on_locus", worst_grad_err, 10.0 * FD_STEP**2,
         f"{total} points on t=0, n in {list(dims)}; fd-vs-analytic gradient",
         ok=failures == 0)
 
 
-def check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=None):
+def check_ode_residual(count=1000, t_span=10.0, tol=1e-6):
     ts = np.linspace(-t_span, t_span, count)
     ts = ts[np.abs(ts) > 1e-6]
     return CheckResult.within(
-        "explicit_ode_residual", ode_residual_grid(ts, HyperbolaFamily(0.0), cfg).max(),
+        "explicit_ode_residual", ode_residual_grid(ts, HyperbolaFamily(0.0)).max(),
         tol, f"t in [-{t_span}, {t_span}] x{count} minus (-1e-6, 1e-6)")
 
 
@@ -331,10 +327,10 @@ def check_misner_roundtrip(count=1000, branches=range(-3, 4), tol=1e-12, seed=31
         ok=worst_ratio <= 1.0)
 
 
-def check_tangency(t_count=500, floor=TANGENCY_RESIDUAL_FLOOR, cfg=None):
+def check_tangency(t_count=500, floor=TANGENCY_RESIDUAL_FLOOR):
     ts = np.linspace(-0.99, 10.0, t_count)
     coords = np.column_stack([ts, np.full(t_count, 0.3)])
-    min_res = tangency_residual_grid(psi_toy_map(2), coords, cfg=cfg).min()
+    min_res = tangency_residual_grid(psi_toy_map(2), coords).min()
     _, disc = toy_tangency_poly(0.0)
     poly_ok = disc == -15.0 and bool((toy_tangency_poly(ts)[0] >= 1.875).all())
     return CheckResult(
@@ -387,30 +383,28 @@ def _pull(jac, g):
     return np.swapaxes(jac, 1, 2) @ g @ jac
 
 
-def _off_kink_points(rng, count, t_lo, cfg):
+def _off_kink_points(rng, count, t_lo):
     """The first ``count`` seeded chart points (t, x), t in [t_lo, 3) and
     x in [-5, 5), that lie at least two stencil steps off t = 0, where the
     half-power kink degrades the stencil; drawn row by row in chunks."""
     points = np.empty((0, 2))
     while len(points) < count:
         rows = rng.uniform([t_lo, -5.0], [3.0, 5.0], size=(count, 2))
-        off_kink = np.abs(rows[:, 0]) >= 2.0 * fd_steps(rows, cfg.fd_step)[:, 0]
+        off_kink = np.abs(rows[:, 0]) >= 2.0 * fd_steps(rows)[:, 0]
         points = np.concatenate([points, rows[off_kink]])
     return points[:count]
 
 
-def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit",
-                        cfg=None):
+def check_functoriality(count=100, tol=1e-5, seed=41, source="explicit"):
     """Pullback through the composition vs pullback of the pullback vs the
     source metric: all three must agree."""
-    cfg = cfg or NumericConfig()
     rng = np.random.default_rng(seed)
     map_ = source_embedding_map(source, 2, HyperbolaFamily(1.0))
     # the canonical-model embedding lands in the half-space only above
     # the region boundary
     t_lo = -3.0 if source == "explicit" else PSI_REGION_T_MIN + 0.05
-    coords = _off_kink_points(rng, count, t_lo, cfg)
-    steps = fd_steps(coords, cfg.fd_step)
+    coords = _off_kink_points(rng, count, t_lo)
+    steps = fd_steps(coords)
     events = map_.value(coords)
     g_quot = misner_metric((events[:, 1] ** 2 - events[:, 0] ** 2) / 4.0, 3)
 
@@ -462,44 +456,42 @@ def check_region_scan(source="explicit", t_range=(-3.0, 3.0), count=61):
     )
 
 
-def run_all(cfg=None, perturb_scale=1.0, quick=True):
+def run_all(perturb_scale=1.0, quick=True):
     """Full verification battery; ``quick`` trims sample counts for the CLI.
 
     ``perturb_scale`` != 1 swaps the canonical embedding for its perturbed
     regression fixture, which must make the isometry checks fail.
     """
-    cfg = cfg or NumericConfig()
     sig_count = 20_000 if quick else 100_000
     quot_count = 200 if quick else 1000
     ode_count = 200 if quick else 1000
     inv_count = 201 if quick else 1001
     bases = 6 if quick else 100
     functorial = 25 if quick else 100
-    results = [
-        check_isometry_psi(2, "analytic", scale=perturb_scale, cfg=cfg),
-        check_isometry_psi(2, "finite_difference", scale=perturb_scale, cfg=cfg),
-        check_isometry_psi(3, "analytic", scale=perturb_scale, cfg=cfg),
-        check_isometry_psi(3, "finite_difference", scale=perturb_scale, cfg=cfg),
+    return [
+        check_isometry_psi(2, "analytic", scale=perturb_scale),
+        check_isometry_psi(2, "finite_difference", scale=perturb_scale),
+        check_isometry_psi(3, "analytic", scale=perturb_scale),
+        check_isometry_psi(3, "finite_difference", scale=perturb_scale),
         check_signature_sweep(2, sig_count),
         check_signature_sweep(3, sig_count),
-        check_lc_regularity(cfg=cfg),
-        check_radical_transversality(cfg=cfg),
-        check_ode_residual(ode_count, cfg=cfg),
+        check_lc_regularity(),
+        check_radical_transversality(),
+        check_ode_residual(ode_count),
         check_inversion_roundtrip(inv_count),
         check_asymptotics_small(),
         check_asymptotics_large_negative(),
         check_quotient_isometry(quot_count),
         check_boost_identification(),
         check_misner_roundtrip(quot_count),
-        check_tangency(cfg=cfg),
+        check_tangency(),
         check_orbit_injectivity(bases),
         check_composed_injectivity(),
-        check_functoriality(functorial, source="explicit", cfg=cfg),
-        check_functoriality(functorial, source="psi_toy", cfg=cfg),
+        check_functoriality(functorial, source="explicit"),
+        check_functoriality(functorial, source="psi_toy"),
         check_bulk_vs_brane(),
         check_region_scan("explicit"),
     ]
-    return results
 
 
 def check_slice_positive_definite(model):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from sigembed import EmbeddingMap
-from sigembed.config import DEFAULT_FD_STEP, central_diff, fd_steps
+from sigembed.config import central_diff, fd_steps
 from sigembed.misner import boost_tau_y1, quotient_map_coords
 
 SQRT2 = float(np.sqrt(2.0))
@@ -110,5 +110,5 @@ def fd_quotient_jacobian(events):
     the oracle of the exact misner.quotient_jacobian."""
     events = np.asarray(events, dtype=float)
     u = events[:, 1] - events[:, 0]
-    steps = np.minimum(fd_steps(events, DEFAULT_FD_STEP), 0.25 * u[:, None])
+    steps = np.minimum(fd_steps(events), 0.25 * u[:, None])
     return central_diff(quotient_map_coords, events, steps)

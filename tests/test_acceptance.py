@@ -14,11 +14,10 @@ import pytest
 
 from helpers import synthetic_tangent_map
 
-from sigembed import (ChartPoint, HyperbolaFamily, MisnerEvent, from_misner,
+from sigembed import (HyperbolaFamily, MisnerEvent, from_misner,
                       isometry_residual_grid, orbit_intersection_count_grid,
-                      psi_toy_map, tangency_residual, to_misner, toy_model,
+                      psi_toy_map, tangency_residual_grid, to_misner, toy_model,
                       toy_tangency_poly)
-from sigembed.config import NumericConfig
 from sigembed.misner import TWO_PI, source_embedding_map
 from sigembed.verify import (PSI_REGION_T_MIN, TANGENCY_RESIDUAL_FLOOR,
                              check_asymptotics_large_negative,
@@ -30,9 +29,6 @@ from sigembed.verify import (PSI_REGION_T_MIN, TANGENCY_RESIDUAL_FLOOR,
                              check_ode_residual, check_quotient_isometry,
                              check_radical_transversality,
                              check_signature_sweep, _grid_coords)
-
-CFG = NumericConfig()
-
 
 def _report(number, passed, detail):
     print(f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {detail}")
@@ -49,7 +45,7 @@ def test_criterion_1_isometry_of_psi():
         for mode in ("analytic", "finite_difference"):
             worst[mode] = max(
                 worst[mode],
-                isometry_residual_grid(map_, model, coords, mode, CFG),
+                isometry_residual_grid(map_, model, coords, mode),
             )
     elapsed = time.perf_counter() - start
     passed = (worst["analytic"] <= 1e-12 and worst["finite_difference"] <= 1e-6
@@ -63,7 +59,7 @@ def test_criterion_1_isometry_of_psi():
 
 
 def test_criterion_2_explicit_embedding():
-    ode = check_ode_residual(count=1000, t_span=10.0, tol=1e-6, cfg=CFG)
+    ode = check_ode_residual(count=1000, t_span=10.0, tol=1e-6)
     inv = check_inversion_roundtrip(count=1001, t_span=100.0, tol=1e-8)
     _report(
         2, ode.passed and inv.passed,
@@ -128,13 +124,10 @@ def test_criterion_5_transversality():
     exact = disc == -15.0
     map_ = psi_toy_map(2)
     ts = np.linspace(-0.99, 10.0, 1000)
-    min_res = min(tangency_residual(map_, ChartPoint(t, [0.3]), cfg=CFG)
-                  for t in ts)
-    sm = synthetic_tangent_map()
-    synth = max(
-        tangency_residual(sm, ChartPoint(t, [x]), cfg=CFG)
-        for t, x in [(0.5, 0.3), (-1.0, -0.8), (2.0, 1.2)]
-    )
+    coords = np.column_stack([ts, np.full(ts.size, 0.3)])
+    min_res = float(tangency_residual_grid(map_, coords).min())
+    synth = float(tangency_residual_grid(
+        synthetic_tangent_map(), [(0.5, 0.3), (-1.0, -0.8), (2.0, 1.2)]).max())
     passed = (exact and min_res > 0.0 and min_res > TANGENCY_RESIDUAL_FLOOR
               and synth <= 1e-10)
     _report(
@@ -167,9 +160,8 @@ def test_criterion_6_injectivity():
 
 def test_criterion_7_signature_structure():
     sweeps = [check_signature_sweep(n, count=100_000) for n in (2, 3)]
-    lc = check_lc_regularity(dims=(2, 3, 4), samples_per_dim=334, cfg=CFG)
-    radical = check_radical_transversality(dims=(2, 3), samples_per_dim=100,
-                                           cfg=CFG)
+    lc = check_lc_regularity(dims=(2, 3, 4), samples_per_dim=334)
+    radical = check_radical_transversality(dims=(2, 3), samples_per_dim=100)
     passed = all(s.passed for s in sweeps) and lc.passed and radical.passed
     _report(
         7, passed,
@@ -191,7 +183,7 @@ def test_criterion_8_signature_change_without_signature_change():
 
 
 def test_criterion_9_pullback_functoriality():
-    result = check_functoriality(count=100, tol=1e-5, cfg=CFG)
+    result = check_functoriality(count=100, tol=1e-5)
     _report(
         9, result.passed,
         f"composition pullback, staged pullback and source metric agree "

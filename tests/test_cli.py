@@ -5,7 +5,6 @@ import pytest
 
 from sigembed import cli
 from sigembed.cli import REPORT_SCHEMA, RunConfig, _emit_table, main
-from sigembed.config import NumericConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -135,7 +134,7 @@ def test_emit_table_matches_per_value_format(tmp_path, fmt):
         want = ",".join(columns) + "\n" + "".join(
             ",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
     else:
-        payload = {"schema": "2", "command": "embed", "config": run_cfg.as_dict(),
+        payload = {"schema": "3", "command": "embed", "config": run_cfg.as_dict(),
                    "columns": columns,
                    "rows": [[float(v) for v in row] for row in rows]}
         want = json.dumps(payload, indent=2) + "\n"
@@ -162,8 +161,8 @@ def test_embed_json_format(tmp_path):
         "--format", "json", "--output", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "2"
-    assert payload["config"]["tolerances"] == {"fd_step": NumericConfig().fd_step}
+    assert payload["schema"] == "3"
+    assert "tolerances" not in payload["config"]
     assert payload["columns"][0] == "t"
     assert len(payload["rows"]) == 21
 
@@ -244,8 +243,8 @@ def test_verify_report_schema_and_exit(tmp_path):
     assert run_cli(["verify", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
-    assert report["schema"] == "2"
-    assert report["config"]["tolerances"] == {"fd_step": NumericConfig().fd_step}
+    assert report["schema"] == "3"
+    assert "tolerances" not in report["config"]
     assert all(c["pass"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert "isometry_psi_n2_analytic" in names

@@ -3,8 +3,11 @@
 ``central_diff`` evaluates the whole stencil in one call; these tests hold
 it to the per-coordinate loop it replaces, written out here as the
 reference: bitwise equal values, one call of ``func``, and the same first
-offending point when ``func`` raises.
+offending point when ``func`` raises.  ``fd_steps`` refuses a non-finite
+coordinate, naming its row.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sigembed.config import DEFAULT_FD_STEP, central_diff, fd_steps
-from sigembed.errors import DomainError
-from sigembed.minkowski import psi_toy_map
+from sigembed.config import FD_STEP, central_diff, fd_steps
+from sigembed.errors import DomainError, NumericalError
+from sigembed.metric import metric_derivatives_grid, toy_model
+from sigembed.minkowski import jacobian_grid, psi_toy_map
 
 
 def loop_central_diff(func, coords, steps):
@@ -62,7 +66,7 @@ coordinates = st.integers(1, 50).flatmap(lambda m: st.integers(2, 4).flatmap(
 @given(coords=coordinates, func=st.sampled_from([scalar_field, vector_field]))
 @example(coords=np.array([[1.0, -0.0, 2.0], [-0.0, 0.0, -3.5]]), func=vector_field)
 def test_one_call_bitwise_equal_to_loop(coords, func):
-    steps = fd_steps(coords, DEFAULT_FD_STEP)
+    steps = fd_steps(coords)
     wrapped, calls = counted(func)
     got = central_diff(wrapped, coords, steps)
     want = loop_central_diff(func, coords, steps)
@@ -82,14 +86,22 @@ def test_domain_error_names_the_loop_point(data, n):
     ])
     edge = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
     # t = -1 + f step with f around 1/2: |t| < 1, so the step is
-    # DEFAULT_FD_STEP and only t - step lies below -1; distinct f tell the
+    # FD_STEP and only t - step lies below -1; distinct f tell the
     # edge rows apart in the message
     fractions = data.draw(arrays(float, len(edge), elements=st.floats(0.25, 0.75)))
-    coords[edge, 0] = -1.0 + fractions * DEFAULT_FD_STEP
-    steps = fd_steps(coords, DEFAULT_FD_STEP)
+    coords[edge, 0] = -1.0 + fractions * FD_STEP
+    steps = fd_steps(coords)
     value = psi_toy_map(n).value
     with pytest.raises(DomainError) as stacked:
         central_diff(value, coords, steps)
     with pytest.raises(DomainError) as looped:
         loop_central_diff(value, coords, steps)
     assert str(stacked.value) == str(looped.value)
+
+
+def test_non_finite_coordinate_is_a_numerical_error_naming_its_row():
+    with pytest.raises(NumericalError, match=r"non-finite coordinates \[inf  0\.\]"):
+        jacobian_grid(psi_toy_map(2), [[np.inf, 0.0]], "finite_difference")
+    model = dataclasses.replace(toy_model(2), derivatives=None)
+    with pytest.raises(NumericalError, match=r"non-finite coordinates \[nan  1\.\]"):
+        metric_derivatives_grid(model, [[0.5, 0.0], [np.nan, 1.0], [1.0, np.inf]])

@@ -3,12 +3,11 @@ import pytest
 
 from helpers import simpson_raw_arc, simpson_substituted_arc
 
-from sigembed import (ChartPoint, DivergenceError, DomainError,
-                      HyperbolaFamily, PoleError, THETA_POLE, arc_integral,
-                      asymptotic_theta, embed_explicit, embed_explicit_grid,
-                      explicit_embedding_map, hyperbola_xi, isometry_residual,
-                      ode_residual, t_of_theta, theta_of_t, theta_of_t_grid,
-                      toy_model)
+from sigembed import (ChartPoint, DomainError, HyperbolaFamily, THETA_POLE,
+                      asymptotic_theta, embed_explicit_grid, explicit_embedding_map,
+                      hyperbola_xi, isometry_residual_grid, ode_residual_grid,
+                      t_of_theta, theta_of_t, theta_of_t_grid, toy_model)
+from sigembed._kernels import arc_integral_batch
 from sigembed.explicit import EMBED_TIME_SIGN
 
 # Frozen from the kink-removing composite-Simpson oracle at 10^6 panels
@@ -26,12 +25,17 @@ def test_hyperbola_xi_values():
     assert hyperbola_xi(THETA_POLE - 1e-9) > 1e8
 
 
+def arc_integral(thetas):
+    """I(theta) over an array of theta (nan at or beyond the pole)."""
+    return arc_integral_batch(np.asarray(thetas, dtype=float))[0]
+
+
 def test_hyperbola_pole_error():
-    with pytest.raises(PoleError):
+    with pytest.raises(DomainError, match="at or beyond the branch pole"):
         hyperbola_xi(THETA_POLE)
     # the pole moves with the translated curve
     fam = HyperbolaFamily(1.0)
-    with pytest.raises(PoleError):
+    with pytest.raises(DomainError, match="at or beyond the branch pole"):
         hyperbola_xi(THETA_POLE - fam.offset + 1e-15, fam)
     assert np.isfinite(hyperbola_xi(THETA_POLE - fam.offset - 1e-6, fam))
 
@@ -46,33 +50,36 @@ def test_hyperbola_shift_is_translation():
 
 
 def test_arc_integral_zero_and_sign():
-    assert arc_integral(0.0) == 0.0
-    assert arc_integral(0.3) > 0.0
-    assert arc_integral(-0.3) < 0.0
+    zero, positive, negative = arc_integral([0.0, 0.3, -0.3])
+    assert zero == 0.0
+    assert positive > 0.0
+    assert negative < 0.0
 
 
 def test_arc_integral_against_oracles():
-    value = arc_integral(0.1)
+    value, far = arc_integral([0.1, -2.0])
     assert value == pytest.approx(ARC_AT_0P1, abs=1e-12)
     # blunt raw-integrand Simpson at 10^6 panels carries the sqrt-kink error
     assert value == pytest.approx(simpson_raw_arc(0.1), abs=1e-8)
-    assert arc_integral(-2.0) == pytest.approx(ARC_AT_MINUS_2, abs=1e-12)
-    assert arc_integral(-2.0) == pytest.approx(simpson_raw_arc(-2.0), abs=1e-7)
+    assert far == pytest.approx(ARC_AT_MINUS_2, abs=1e-12)
+    assert far == pytest.approx(simpson_raw_arc(-2.0), abs=1e-7)
 
 
 def test_arc_integral_small_theta_asymptotic():
     amp = 4.0 * 2.0**0.25 / 3.0
-    for theta in [1e-2, 1e-3, 1e-4, -1e-3]:
+    thetas = [1e-2, 1e-3, 1e-4, -1e-3]
+    for theta, value in zip(thetas, arc_integral(thetas)):
         lead = amp * abs(theta) ** 1.5 * np.sign(theta)
         # next order enters at relative O(theta)
-        assert arc_integral(theta) == pytest.approx(lead, rel=1.5 * abs(theta))
+        assert value == pytest.approx(lead, rel=1.5 * abs(theta))
 
 
 def test_arc_integral_divergence_error():
-    with pytest.raises(DivergenceError):
-        arc_integral(THETA_POLE)
-    with pytest.raises(DivergenceError):
-        arc_integral(1.0)
+    with pytest.raises(DomainError, match="arc integral diverges"):
+        t_of_theta(THETA_POLE)
+    with pytest.raises(DomainError, match="arc integral diverges"):
+        t_of_theta(1.0)
+    assert np.isnan(arc_integral([THETA_POLE, 1.0])).all()
 
 
 def test_t_of_theta_roundtrip():
@@ -128,7 +135,7 @@ def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError):
         theta_of_t(bad)
     with pytest.raises(ValueError):
-        arc_integral(bad)
+        t_of_theta(bad)
 
 
 def test_theta_of_t_overflow_is_domain_error():
@@ -149,48 +156,44 @@ def test_asymptotic_theta_closed_forms():
 
 
 def test_embed_explicit_through_origin():
-    e = embed_explicit(ChartPoint(0.0, [3.0]))
-    np.testing.assert_allclose(e.coords(), [0.0, 0.0, 3.0], atol=1e-15)
+    e = explicit_embedding_map(2).value(np.array([[0.0, 3.0]]))[0]
+    np.testing.assert_allclose(e, [0.0, 0.0, 3.0], atol=1e-15)
 
 
 def test_embed_explicit_shifted():
     fam = HyperbolaFamily(1.0)
-    e = embed_explicit(ChartPoint(0.0, [3.0]), fam)
+    tau, y1, y2 = explicit_embedding_map(2, fam).value(np.array([[0.0, 3.0]]))[0]
     s = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(e.coords(), [-s, s, 3.0], atol=1e-15)
-    assert e.tau + float(e.y[0]) == pytest.approx(0.0, abs=1e-15)
-    assert float(e.y[0]) - e.tau > 0.0  # strictly inside the half-space
+    np.testing.assert_allclose([tau, y1, y2], [-s, s, 3.0], atol=1e-15)
+    assert tau + y1 == pytest.approx(0.0, abs=1e-15)
+    assert y1 - tau > 0.0  # strictly inside the half-space
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, -0.5])
-def test_ode_residual_examples(t, cfg):
-    assert ode_residual(t, HyperbolaFamily(0.0), cfg) <= 1e-6
+def test_ode_residual_examples(t):
+    assert ode_residual_grid(np.array([t]), HyperbolaFamily(0.0))[0] <= 1e-6
 
 
-def test_family_covariance(cfg):
+def test_family_covariance():
     # translating the family shifts the image rigidly and leaves the
     # first-order identity untouched
     fam = HyperbolaFamily(2.5)
     off = fam.offset
-    for t in [-4.0, -0.3, 0.6, 3.0]:
-        base = embed_explicit(ChartPoint(t, [0.9]), HyperbolaFamily(0.0))
-        moved = embed_explicit(ChartPoint(t, [0.9]), fam)
-        np.testing.assert_allclose(
-            moved.coords() - base.coords(), [-off, off, 0.0], atol=1e-12
-        )
-        assert ode_residual(t, fam, cfg) <= 1e-6
+    ts = np.array([-4.0, -0.3, 0.6, 3.0])
+    coords = np.column_stack([ts, np.full(ts.size, 0.9)])
+    base = explicit_embedding_map(2, HyperbolaFamily(0.0)).value(coords)
+    moved = explicit_embedding_map(2, fam).value(coords)
+    np.testing.assert_allclose(moved - base, np.tile([-off, off, 0.0], (ts.size, 1)),
+                               atol=1e-12)
+    assert (ode_residual_grid(ts, fam) <= 1e-6).all()
 
 
-def test_explicit_map_isometry_small_grid(cfg):
+def test_explicit_map_isometry_small_grid():
     model = toy_model(2)
     map_ = explicit_embedding_map(2, HyperbolaFamily(0.0))
-    for t in np.linspace(-9.7, 9.7, 21):
-        r = isometry_residual(map_, model, ChartPoint(t, [1.1]),
-                              "finite_difference", cfg)
-        assert r <= 1e-5
-        r_an = isometry_residual(map_, model, ChartPoint(t, [1.1]),
-                                 "analytic", cfg)
-        assert r_an <= 1e-10
+    coords = np.column_stack([np.linspace(-9.7, 9.7, 21), np.full(21, 1.1)])
+    assert isometry_residual_grid(map_, model, coords, "finite_difference") <= 1e-5
+    assert isometry_residual_grid(map_, model, coords, "analytic") <= 1e-10
 
 
 def test_explicit_map_time_roundtrip_and_membership():
@@ -209,8 +212,9 @@ def test_embed_explicit_grid_matches_pointwise():
     fam = HyperbolaFamily(1.0)
     ts = np.linspace(-3, 3, 11)
     tau, xi = embed_explicit_grid(ts, fam)
+    map_ = explicit_embedding_map(2, fam)
     for t, a, b in zip(ts, tau, xi):
-        e = embed_explicit(ChartPoint(t, [0.0]), fam)
+        e = map_.value_eval(ChartPoint(t, [0.0]))
         assert a == pytest.approx(e.tau, abs=1e-12)
         assert b == pytest.approx(float(e.y[0]), abs=1e-12)
 
@@ -222,11 +226,9 @@ def test_family_validation():
         HyperbolaFamily(np.inf)
 
 
-def test_explicit_isometry_grid_analytic_fallback(cfg):
+def test_explicit_isometry_grid_analytic_fallback():
     # the grid sweep takes the explicit map's analytic Jacobian on arrays
-    from sigembed import isometry_residual_grid
-
     model = toy_model(2)
     map_ = explicit_embedding_map(2, HyperbolaFamily(0.0))
     coords = np.column_stack([np.linspace(-2, 2, 9), np.full(9, 0.3)])
-    assert isometry_residual_grid(map_, model, coords, "analytic", cfg) <= 1e-10
+    assert isometry_residual_grid(map_, model, coords, "analytic") <= 1e-10

@@ -6,26 +6,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigembed import (ChartPoint, EvaluationError, MetricModel,
-                      PreconditionError, SignatureClass, classify_signature,
-                      classify_signature_grid, eval_metric,
-                      isometry_residual_grid, lc_regularity_at,
-                      metric_derivatives, psi_toy_map, radical_transversality,
-                      slice_metric, toy_model)
-from sigembed.metric import (lc_regularity_grid, radical_transversality_grid,
-                             slice_metric_grid)
+                      PreconditionError, SignatureClass, classify_signature_grid,
+                      eval_metric_grid, isometry_residual_grid, lc_regularity_grid,
+                      metric_derivatives_grid, psi_toy_map,
+                      radical_transversality_grid, slice_metric_grid, toy_model)
+from sigembed.config import FD_STEP
 
 
 def test_eval_metric_canonical_values():
     m = toy_model(2)
     np.testing.assert_array_equal(
-        eval_metric(m, ChartPoint(3.0, [7.0])), [[-3.0, 0.0], [0.0, 1.0]]
-    )
-    np.testing.assert_array_equal(
-        eval_metric(m, ChartPoint(0.0, [0.0])), [[0.0, 0.0], [0.0, 1.0]]
+        eval_metric_grid(m, [[3.0, 7.0], [0.0, 0.0]]),
+        [[[-3.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]],
     )
     m3 = toy_model(3)
     np.testing.assert_array_equal(
-        eval_metric(m3, ChartPoint(-4.0, [1.0, 1.0])), np.diag([4.0, 1.0, 1.0])
+        eval_metric_grid(m3, [[-4.0, 1.0, 1.0]]), [np.diag([4.0, 1.0, 1.0])]
     )
 
 
@@ -37,7 +33,7 @@ def test_eval_metric_rejects_non_finite_with_index():
 
     m = MetricModel(2, components)
     with pytest.raises(EvaluationError) as err:
-        eval_metric(m, ChartPoint(0.0, [0.0]))
+        eval_metric_grid(m, [[0.0, 0.0]])
     assert err.value.index == (0, 1)
     # the grid classifier validates the same way
     with pytest.raises(EvaluationError) as err:
@@ -48,7 +44,7 @@ def test_eval_metric_rejects_non_finite_with_index():
 def test_eval_metric_rejects_asymmetric():
     m = MetricModel(2, lambda c: np.array([[[1.0, 0.5], [0.0, 1.0]]] * len(c)))
     with pytest.raises(EvaluationError) as err:
-        eval_metric(m, ChartPoint(0.0, [0.0]))
+        eval_metric_grid(m, [[0.0, 0.0]])
     assert err.value.index == (0, 1)
 
     def components(coords):
@@ -60,7 +56,7 @@ def test_eval_metric_rejects_asymmetric():
 
     m3 = MetricModel(3, components)
     # within 1e-12 of the largest component at t = 1e4: accepted
-    eval_metric(m3, ChartPoint(1e4, [0.0, 0.0]))
+    eval_metric_grid(m3, [[1e4, 0.0, 0.0]])
     with pytest.raises(EvaluationError, match=r"at point \[ 2\.  3\. -4\.\]") as err:
         classify_signature_grid(m3, [[-1.0, 0.0, 0.0], [2.0, 3.0, -4.0]])
     assert err.value.index == (1, 2)
@@ -83,7 +79,7 @@ def test_time_space_components_rejected(n, entry):
         classify_signature_grid(m, coords)
     assert err.value.index == index
     with pytest.raises(EvaluationError) as err:
-        eval_metric(m, ChartPoint.from_coords(coords[1]))
+        eval_metric_grid(m, coords[1:2])
     assert err.value.index == index
     if n == 2:
         with pytest.raises(EvaluationError) as err:
@@ -94,36 +90,26 @@ def test_time_space_components_rejected(n, entry):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_classify_signature_by_sign_of_t(n):
     m = toy_model(n)
-    x = [0.5] * (n - 1)
-    r = classify_signature(m, ChartPoint(-1.0, x))
-    assert r.signature_class is SignatureClass.RIEMANNIAN
-    assert (r.negative_count, r.zero_count, r.positive_count) == (0, 0, n)
-
-    r = classify_signature(m, ChartPoint(0.0, x))
-    assert r.signature_class is SignatureClass.DEGENERATE
-    assert r.zero_count == 1
-    assert r.min_abs_eigenvalue == 0.0
-
-    r = classify_signature(m, ChartPoint(2.0, x))
-    assert r.signature_class is SignatureClass.LORENTZIAN
-    assert (r.negative_count, r.zero_count, r.positive_count) == (1, 0, n - 1)
+    coords = np.column_stack([[-1.0, 0.0, 2.0]] + [np.full(3, 0.5)] * (n - 1))
+    classes, neg, zero, pos = classify_signature_grid(m, coords)
+    assert [SignatureClass(int(c)) for c in classes] == [
+        SignatureClass.RIEMANNIAN, SignatureClass.DEGENERATE, SignatureClass.LORENTZIAN]
+    assert (neg[0], zero[0], pos[0]) == (0, 0, n)
+    assert zero[1] == 1
+    assert (neg[2], zero[2], pos[2]) == (1, 0, n - 1)
 
 
 def test_classify_zero_band_is_relative():
     m = toy_model(2)
     # |t| below the relative band counts as degenerate, above it does not
-    assert classify_signature(m, ChartPoint(5e-11, [0.0]), tol=1e-10). \
-        signature_class is SignatureClass.DEGENERATE
-    assert classify_signature(m, ChartPoint(1e-9, [0.0]), tol=1e-10). \
-        signature_class is SignatureClass.LORENTZIAN
+    classes = classify_signature_grid(m, [[5e-11, 0.0], [1e-9, 0.0]], tol=1e-10)[0]
+    assert list(classes) == [SignatureClass.DEGENERATE, SignatureClass.LORENTZIAN]
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 def test_classify_rejects_tol_outside_positive_reals(tol):
     # nan and inf bands used to classify every point as degenerate
     m = toy_model(2)
-    with pytest.raises(PreconditionError, match="tol"):
-        classify_signature(m, ChartPoint(1, [0]), tol)
     with pytest.raises(PreconditionError, match="tol"):
         classify_signature_grid(m, np.array([[1.0, 0.0]]), tol)
 
@@ -142,7 +128,7 @@ def test_radical_and_lc_reject_tol_outside_positive_reals(tol):
 def test_classify_rejects_two_time_directions():
     m = MetricModel(2, lambda c: np.array([np.diag([-1.0, -1.0])] * len(c)))
     with pytest.raises(PreconditionError):
-        classify_signature(m, ChartPoint(0.0, [0.0]))
+        classify_signature_grid(m, [[0.0, 0.0]])
 
 
 def test_classify_grid_matches_pointwise():
@@ -152,7 +138,7 @@ def test_classify_grid_matches_pointwise():
     ])
     classes, neg, zero, pos = classify_signature_grid(m, coords)
     for c, row in zip(classes, coords):
-        assert c == classify_signature(m, ChartPoint.from_coords(row)).signature_class
+        assert c == classify_signature_grid(m, row[None])[0][0]
     assert (neg + zero + pos == 3).all()
 
 
@@ -166,7 +152,7 @@ def full_matrix_signature(g, tol):
     classes = np.where(zero >= 1, SignatureClass.DEGENERATE,
                        np.where(neg == 0, SignatureClass.RIEMANNIAN,
                                 SignatureClass.LORENTZIAN))
-    return classes, neg, zero, pos, np.abs(eig).min(axis=1), (zero == 0) & (neg >= 2)
+    return classes, neg, zero, pos, (zero == 0) & (neg >= 2)
 
 
 # eigenvalue magnitudes: mostly of order one, some on a log scale down to
@@ -216,7 +202,7 @@ def test_block_classes_match_full_matrix(data, n, m, tol):
     _, positive_definite = slice_metric_grid(model, coords)
     np.testing.assert_array_equal(positive_definite,
                                   np.linalg.eigvalsh(g[:, 1:, 1:])[:, 0] > 0.0)
-    classes, neg, zero, pos, min_abs, two_times = full_matrix_signature(g, tol)
+    classes, neg, zero, pos, two_times = full_matrix_signature(g, tol)
     if two_times.any():
         with pytest.raises(PreconditionError, match="negative eigenvalues"):
             classify_signature_grid(model, coords, tol)
@@ -225,65 +211,55 @@ def test_block_classes_match_full_matrix(data, n, m, tol):
     assert list(got[0]) == list(classes[keep])
     for have, want in zip(got[1:], (neg, zero, pos)):
         np.testing.assert_array_equal(have, want[keep])
-    # entries in [1e-100, 1e100] are not rescaled inside eigvalsh, so a
-    # diagonal matrix comes back exactly
-    in_range = ((np.abs(lam) >= 1e-100) & (np.abs(lam) <= 1e100)).all(axis=1)
     for k in np.flatnonzero(keep):
-        report = classify_signature(model, ChartPoint.from_coords(coords[k]), tol)
-        assert report.signature_class == classes[k]
-        assert (report.negative_count, report.zero_count, report.positive_count) == (
-            neg[k], zero[k], pos[k])
-        if diagonal[k] and in_range[k]:
-            assert report.min_abs_eigenvalue == min_abs[k]
-        else:
-            assert report.min_abs_eigenvalue == pytest.approx(
-                min_abs[k], abs=1e-13 * np.abs(lam[k]).max())
+        got = classify_signature_grid(model, coords[k:k + 1], tol)
+        assert (got[0][0], got[1][0], got[2][0], got[3][0]) == (
+            classes[k], neg[k], zero[k], pos[k])
 
 
 def test_toy_determinant_is_minus_t():
     m = toy_model(4)
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        t = rng.uniform(-5, 5)
-        x = rng.uniform(-5, 5, size=3)
-        g = eval_metric(m, ChartPoint(t, x))
-        assert np.linalg.det(g) == pytest.approx(-t, abs=1e-13)
+    coords = np.array([[rng.uniform(-5, 5), *rng.uniform(-5, 5, size=3)]
+                       for _ in range(50)])
+    dets = np.linalg.det(eval_metric_grid(m, coords))
+    np.testing.assert_allclose(dets, -coords[:, 0], rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_radical_transversality_on_locus(n):
     m = toy_model(n)
-    det, grad, transverse = radical_transversality(m, ChartPoint(0.0, [1.0] * (n - 1)))
-    assert det == 0.0
-    np.testing.assert_allclose(grad, [-1.0] + [0.0] * (n - 1), atol=1e-14)
-    assert transverse
+    det, grad, transverse = radical_transversality_grid(m, [[0.0] + [1.0] * (n - 1)])
+    assert det[0] == 0.0
+    np.testing.assert_allclose(grad[0], [-1.0] + [0.0] * (n - 1), atol=1e-14)
+    assert transverse[0]
 
 
 def test_radical_transversality_off_locus_vacuous():
     m = toy_model(2)
-    det, _, transverse = radical_transversality(m, ChartPoint(5.0, [0.0]))
-    assert det == pytest.approx(-5.0)
-    assert transverse
+    det, _, transverse = radical_transversality_grid(m, [[5.0, 0.0]])
+    assert det[0] == pytest.approx(-5.0)
+    assert transverse[0]
 
 
-def test_gradient_fd_matches_analytic(cfg):
+def test_gradient_fd_matches_analytic():
     m = toy_model(3)
     m_fd = dataclasses.replace(m, derivatives=None)
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        p = ChartPoint(rng.uniform(-2, 2), rng.uniform(-2, 2, size=2))
-        _, grad_a, _ = radical_transversality(m, p, cfg=cfg)
-        _, grad_fd, _ = radical_transversality(m_fd, p, cfg=cfg)
-        np.testing.assert_allclose(grad_fd, grad_a, atol=10 * cfg.fd_step**2)
+    coords = np.array([[rng.uniform(-2, 2), *rng.uniform(-2, 2, size=2)]
+                       for _ in range(20)])
+    _, grad_a, _ = radical_transversality_grid(m, coords)
+    _, grad_fd, _ = radical_transversality_grid(m_fd, coords)
+    np.testing.assert_allclose(grad_fd, grad_a, atol=10 * FD_STEP**2)
 
 
-def test_metric_derivatives_fd_fallback(cfg):
+def test_metric_derivatives_fd_fallback():
     m = toy_model(2)
     m_fd = dataclasses.replace(m, derivatives=None)
-    p = ChartPoint(1.3, [0.4])
+    coords = [[1.3, 0.4]]
     np.testing.assert_allclose(
-        metric_derivatives(m_fd, p, cfg), metric_derivatives(m, p),
-        atol=10 * cfg.fd_step**2,
+        metric_derivatives_grid(m_fd, coords), metric_derivatives_grid(m, coords),
+        atol=10 * FD_STEP**2,
     )
 
 
@@ -291,56 +267,56 @@ def test_lc_regularity_examples():
     m = toy_model(2)
     # on the locus the radical direction is null and the base derivative
     # of the quadratic form is -tau^2
-    assert lc_regularity_at(m, ChartPoint(0.0, [0.0]), [1.0, 0.0])
-    # off the locus: null vector of the Lorentzian region, fiber part nonzero
-    assert lc_regularity_at(m, ChartPoint(1.0, [0.0]), [1.0, 1.0])
+    # (first row); off the locus: null vector of the Lorentzian region,
+    # fiber part nonzero (second row)
+    assert lc_regularity_grid(m, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]).all()
 
 
 def test_lc_regularity_rejects_non_null():
     m = toy_model(2)
     with pytest.raises(PreconditionError):
-        lc_regularity_at(m, ChartPoint(1.0, [0.0]), [1.0, 0.0])
+        lc_regularity_grid(m, [[1.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(PreconditionError):
-        lc_regularity_at(m, ChartPoint(0.0, [0.0]), [0.0, 0.0])
+        lc_regularity_grid(m, [[0.0, 0.0]], [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lc_regularity_randomized_scan(n):
     m = toy_model(n)
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        x = rng.uniform(-5, 5, size=n - 1)
-        v = np.zeros(n)
-        v[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        assert lc_regularity_at(m, ChartPoint(0.0, x), v)
+    coords, directions = np.zeros((2, 100, n))
+    for k in range(100):
+        coords[k, 1:] = rng.uniform(-5, 5, size=n - 1)
+        directions[k, 0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    assert lc_regularity_grid(m, coords, directions).all()
     # null directions in the Lorentzian region: -t a^2 + |w|^2 = 0
-    for _ in range(100):
+    for k in range(100):
         t = rng.uniform(0.1, 5.0)
-        x = rng.uniform(-5, 5, size=n - 1)
+        coords[k] = [t, *rng.uniform(-5, 5, size=n - 1)]
         w = rng.normal(size=n - 1)
         w /= np.linalg.norm(w)
         a = rng.uniform(0.5, 2.0)
-        v = np.concatenate(([a], np.sqrt(t) * a * w))
-        assert lc_regularity_at(m, ChartPoint(t, x), v, tol=1e-9)
+        directions[k] = np.concatenate(([a], np.sqrt(t) * a * w))
+    assert lc_regularity_grid(m, coords, directions, tol=1e-9).all()
 
 
 def test_slice_metric_identity_and_user_blocks():
     m = toy_model(3)
-    block, pd = slice_metric(m, 2.5, [0.0, 0.0])
-    np.testing.assert_array_equal(block, np.eye(2))
-    assert pd
+    block, pd = slice_metric_grid(m, [[2.5, 0.0, 0.0]])
+    np.testing.assert_array_equal(block, [np.eye(2)])
+    assert pd.all()
 
     user = MetricModel(
         3,
         lambda c: np.array([np.diag([-t, 1 + t**2, 1.0]) for t in c[:, 0]]),
     )
-    block, pd = slice_metric(user, 2.0, [0.0, 0.0])
-    np.testing.assert_allclose(block, np.diag([5.0, 1.0]))
-    assert pd
+    block, pd = slice_metric_grid(user, [[2.0, 0.0, 0.0]])
+    np.testing.assert_allclose(block, [np.diag([5.0, 1.0])])
+    assert pd.all()
 
     bad = MetricModel(2, lambda c: np.array([np.diag([-t, -1.0]) for t in c[:, 0]]))
-    _, pd = slice_metric(bad, 1.0, [0.0])
-    assert not pd
+    _, pd = slice_metric_grid(bad, [[1.0, 0.0]])
+    assert not pd.any()
 
 
 def test_chart_point_validation():

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigembed import (ChartPoint, DomainError, EvaluationError,
-                      ImmersionError, PreconditionError, isometry_residual,
-                      isometry_residual_grid, map_jacobian, psi_toy,
-                      psi_toy_map, pullback, temporal_f, toy_model)
-from sigembed.minkowski import (EmbeddingMap, MinkowskiEvent, _pullback_gram,
-                                pullback_grid)
+from sigembed import (DomainError, EvaluationError, ImmersionError,
+                      PreconditionError, isometry_residual_grid, jacobian_grid,
+                      psi_toy_map, pullback_grid, temporal_f, toy_model)
+from sigembed.config import FD_STEP
+from sigembed.minkowski import EmbeddingMap, MinkowskiEvent, _pullback_gram
 from sigembed.verify import perturbed_psi_map
 
 
@@ -34,15 +33,12 @@ def test_temporal_f_strictly_decreasing():
 
 
 def test_psi_toy_values():
+    images = psi_toy_map(2).value(np.array([[0.0, 5.0], [3.0, 0.0]]))
+    np.testing.assert_allclose(images[0], [-2.0 / 3.0, 0.0, 5.0], atol=1e-15)
+    np.testing.assert_allclose(images[1], [-16.0 / 3.0, 3.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(
-        psi_toy(ChartPoint(0.0, [5.0])).coords(), [-2.0 / 3.0, 0.0, 5.0], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        psi_toy(ChartPoint(3.0, [0.0])).coords(), [-16.0 / 3.0, 3.0, 0.0], atol=1e-14
-    )
-    np.testing.assert_allclose(
-        psi_toy(ChartPoint(0.0, [1.0, 2.0])).coords(),
-        [-2.0 / 3.0, 0.0, 1.0, 2.0], atol=1e-15,
+        psi_toy_map(3).value(np.array([[0.0, 1.0, 2.0]])),
+        [[-2.0 / 3.0, 0.0, 1.0, 2.0]], atol=1e-15,
     )
 
 
@@ -61,26 +57,26 @@ def test_psi_toy_injective_on_grid():
     (0.0, [[0.0, 0.0], [0.0, 1.0]]),
     (-0.5, [[0.5, 0.0], [0.0, 1.0]]),
 ])
-def test_pullback_matches_source_metric(t, expected, cfg):
+def test_pullback_matches_source_metric(t, expected):
     map_ = psi_toy_map(2)
     model = toy_model(2)
-    p = ChartPoint(t, [0.7])
-    np.testing.assert_allclose(pullback(map_, model, p, "analytic"), expected,
-                               atol=1e-14)
+    coords = [[t, 0.7]]
+    np.testing.assert_allclose(pullback_grid(map_, model, coords, "analytic"),
+                               [expected], atol=1e-14)
     np.testing.assert_allclose(
-        pullback(map_, model, p, "finite_difference", cfg), expected, atol=1e-6
+        pullback_grid(map_, model, coords, "finite_difference"), [expected], atol=1e-6
     )
 
 
-def test_pullback_modes_agree(cfg):
+def test_pullback_modes_agree():
     map_ = psi_toy_map(3)
     model = toy_model(3)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = ChartPoint(rng.uniform(-0.9, 5), rng.uniform(-3, 3, size=2))
-        a = pullback(map_, model, p, "analytic")
-        f = pullback(map_, model, p, "finite_difference", cfg)
-        assert np.abs(a - f).max() <= 10 * cfg.fd_step
+    coords = np.array([[rng.uniform(-0.9, 5), *rng.uniform(-3, 3, size=2)]
+                       for _ in range(20)])
+    a = pullback_grid(map_, model, coords, "analytic")
+    f = pullback_grid(map_, model, coords, "finite_difference")
+    assert np.abs(a - f).max() <= 10 * FD_STEP
 
 
 def test_pullback_rank_deficiency_reported():
@@ -90,8 +86,7 @@ def test_pullback_rank_deficiency_reported():
 
     degenerate = EmbeddingMap(2, 3, value)
     with pytest.raises(ImmersionError) as err:
-        pullback(degenerate, None, ChartPoint(1.0, [0.0]),
-                 "finite_difference")
+        pullback_grid(degenerate, None, [[1.0, 0.0]], "finite_difference")
     assert err.value.rank == 1
     # the grid sweep makes the same rank test
     with pytest.raises(ImmersionError) as err:
@@ -127,8 +122,8 @@ def test_pullback_rank_matches_svd_reference(ratio):
     rank = int(svd_rank(jacs)[0])
     if rank == 2:
         eta = np.diag([-1.0, 1.0, 1.0])
-        back = pullback(jacobian_map(jacs), None, ChartPoint(0.0, [0.0]))
-        np.testing.assert_allclose(back, jacs[0].T @ eta @ jacs[0], rtol=1e-14)
+        back = pullback_grid(jacobian_map(jacs), None, coords)
+        np.testing.assert_allclose(back[0], jacs[0].T @ eta @ jacs[0], rtol=1e-14)
         assert ratio >= 1e-9
     else:
         with pytest.raises(ImmersionError) as err:
@@ -160,7 +155,7 @@ def test_pullback_names_non_finite_jacobian_point():
     m = EmbeddingMap(2, 3, lambda c: np.column_stack([np.sqrt(c[:, 0] - 1), c]))
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvaluationError) as err:
-            pullback(m, None, ChartPoint(0.5, [0.0]), "finite_difference")
+            pullback_grid(m, None, [[0.5, 0.0]], "finite_difference")
         assert str(err.value) == "non-finite embedding Jacobian at [0.5 0. ]"
         coords = np.array([[2.0, 0.0], [3.0, 1.0], [0.25, -1.0], [0.5, 0.0]])
         with pytest.raises(EvaluationError, match=r"at \[ 0.25 -1.  \]"):
@@ -195,50 +190,48 @@ def test_pullback_gram_matches_einsum_and_screen_is_sound(data, n, m):
 def test_pullback_requires_analytic_jacobian_when_asked():
     m = EmbeddingMap(2, 3, lambda c: np.column_stack([c[:, 0], c[:, 0], c[:, 1]]))
     with pytest.raises(PreconditionError):
-        pullback(m, None, ChartPoint(1.0, [0.0]), "analytic")
+        pullback_grid(m, None, [[1.0, 0.0]], "analytic")
 
 
 def test_psi_jacobian_full_rank_near_boundary():
-    map_ = psi_toy_map(2)
-    for t in [-0.999999, -0.9, 0.0, 10.0]:
-        jac = map_jacobian(map_, ChartPoint(t, [0.0]))
-        assert np.linalg.matrix_rank(jac) == 2
+    coords = np.column_stack([[-0.999999, -0.9, 0.0, 10.0], np.zeros(4)])
+    jac = jacobian_grid(psi_toy_map(2), coords)
+    assert (np.linalg.matrix_rank(jac) == 2).all()
 
 
-def test_isometry_residual_grid_and_pointwise_agree(cfg):
+def test_isometry_residual_grid_and_pointwise_agree():
     map_ = psi_toy_map(2)
     model = toy_model(2)
     ts = np.linspace(-0.99, 10, 40)
     xs = np.linspace(-5, 5, 10)
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     coords = np.column_stack([tt.ravel(), xx.ravel()])
-    grid_worst = isometry_residual_grid(map_, model, coords, "finite_difference", cfg)
+    grid_worst = isometry_residual_grid(map_, model, coords, "finite_difference")
     point_worst = max(
-        isometry_residual(map_, model, ChartPoint.from_coords(c),
-                          "finite_difference", cfg)
+        isometry_residual_grid(map_, model, c[None], "finite_difference")
         for c in coords[:: 40]
     )
     assert grid_worst <= 1e-6
     assert point_worst <= grid_worst + 1e-12
     # a model of another dimension is refused, not broadcast
     with pytest.raises(PreconditionError):
-        isometry_residual_grid(map_, toy_model(3), coords, "finite_difference", cfg)
+        isometry_residual_grid(map_, toy_model(3), coords, "finite_difference")
 
 
 def test_perturbed_map_residual_detects_non_isometry():
     model = toy_model(2)
     bad = perturbed_psi_map(2, scale=1.01)
-    res = isometry_residual(bad, model, ChartPoint(1.0, [0.0]), "analytic")
+    res = isometry_residual_grid(bad, model, [[1.0, 0.0]], "analytic")
     # residual = |(scale^2 - 1)(1 + t)| at the tt entry
     assert res == pytest.approx((1.01**2 - 1.0) * 2.0, rel=1e-10)
     assert res == pytest.approx(0.0402, abs=1e-4)
 
 
-def test_fd_jacobian_of_psi_matches_analytic(cfg):
+def test_fd_jacobian_of_psi_matches_analytic():
     map_ = psi_toy_map(2)
-    p = ChartPoint(2.0, [1.5])
+    coords = [[2.0, 1.5]]
     np.testing.assert_allclose(
-        map_jacobian(map_, p, "finite_difference", cfg), map_jacobian(map_, p),
+        jacobian_grid(map_, coords, "finite_difference"), jacobian_grid(map_, coords),
         atol=1e-8
     )
 

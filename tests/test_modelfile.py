@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sigembed import (ChartPoint, EvaluationError, classify_signature,
-                      SignatureClass, eval_metric, load_model,
-                      model_from_dict, radical_transversality, slice_metric)
+from sigembed import (EvaluationError, SignatureClass, classify_signature_grid,
+                      eval_metric_grid, load_model, model_from_dict,
+                      radical_transversality_grid, slice_metric_grid)
 from sigembed.modelfile import ExpressionError, compile_expression
 
 
@@ -38,11 +38,11 @@ def test_model_from_dict_diagonal():
         "dimension": 3,
         "spatial_block": [["1 + t^2", "0"], ["0", "1"]],
     })
-    block, pd = slice_metric(model, 2.0, [0.0, 0.0])
-    np.testing.assert_allclose(block, np.diag([5.0, 1.0]))
-    assert pd
-    g = eval_metric(model, ChartPoint(2.0, [0.0, 0.0]))
-    np.testing.assert_allclose(g, np.diag([-2.0, 5.0, 1.0]))
+    block, pd = slice_metric_grid(model, [[2.0, 0.0, 0.0]])
+    np.testing.assert_allclose(block, [np.diag([5.0, 1.0])])
+    assert pd.all()
+    g = eval_metric_grid(model, [[2.0, 0.0, 0.0]])
+    np.testing.assert_allclose(g, [np.diag([-2.0, 5.0, 1.0])])
 
 
 def test_model_signature_tracks_t():
@@ -50,25 +50,21 @@ def test_model_signature_tracks_t():
         "dimension": 2,
         "spatial_block": [["1 + x1^2"]],
     })
-    assert classify_signature(model, ChartPoint(-1.0, [0.3])). \
-        signature_class is SignatureClass.RIEMANNIAN
-    assert classify_signature(model, ChartPoint(0.0, [0.3])). \
-        signature_class is SignatureClass.DEGENERATE
-    assert classify_signature(model, ChartPoint(1.0, [0.3])). \
-        signature_class is SignatureClass.LORENTZIAN
+    classes = classify_signature_grid(model, [[-1.0, 0.3], [0.0, 0.3], [1.0, 0.3]])[0]
+    assert list(classes) == [SignatureClass.RIEMANNIAN, SignatureClass.DEGENERATE,
+                             SignatureClass.LORENTZIAN]
 
 
-def test_model_radical_transversality_fd(cfg):
+def test_model_radical_transversality_fd():
     model = model_from_dict({
         "dimension": 2,
         "spatial_block": [["1 + t^2"]],
     })
-    det, grad, transverse = radical_transversality(model, ChartPoint(0.0, [0.0]),
-                                                   cfg=cfg)
+    det, grad, transverse = radical_transversality_grid(model, [[0.0, 0.0]])
     # det = -t (1 + t^2): gradient (-1, 0) on the locus
-    assert det == 0.0
-    np.testing.assert_allclose(grad, [-1.0, 0.0], atol=1e-9)
-    assert transverse
+    assert det[0] == 0.0
+    np.testing.assert_allclose(grad[0], [-1.0, 0.0], atol=1e-9)
+    assert transverse[0]
 
 
 def test_asymmetric_block_rejected():
@@ -77,7 +73,7 @@ def test_asymmetric_block_rejected():
         "spatial_block": [["1", "t"], ["0", "1"]],
     })
     with pytest.raises(EvaluationError):
-        eval_metric(model, ChartPoint(1.0, [0.0, 0.0]))
+        eval_metric_grid(model, [[1.0, 0.0, 0.0]])
 
 
 def test_bad_shapes_rejected():
@@ -96,6 +92,6 @@ def test_load_model_file(tmp_path):
         "spatial_block": [["exp(2*ln(1+t^2))/ (1+t^2)"]],
     }))
     model = load_model(path)
-    block, pd = slice_metric(model, 3.0, [0.0])
-    assert block[0, 0] == pytest.approx(10.0, rel=1e-12)
+    block, pd = slice_metric_grid(model, [[3.0, 0.0]])
+    assert block[0, 0, 0] == pytest.approx(10.0, rel=1e-12)
     assert pd

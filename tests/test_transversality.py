@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import boosted_frame_map, synthetic_tangent_map
 
-from sigembed import (CapabilityError, ChartPoint, HyperbolaFamily,
-                      MinkowskiEvent, PreconditionError, RegionError,
-                      orbit_intersection_count, orbit_intersection_count_grid,
-                      psi_toy, psi_toy_map,
-                      tangency_residual, toy_tangency_poly)
+from sigembed import (ChartPoint, HyperbolaFamily, MinkowskiEvent,
+                      PreconditionError, RegionError, orbit_intersection_count,
+                      orbit_intersection_count_grid, psi_toy_map,
+                      tangency_residual_grid, toy_tangency_poly)
+from sigembed.config import FD_STEP
 from sigembed.misner import boost_tau_y1, source_embedding_map
 from sigembed import transversality
 from sigembed.transversality import _killing
@@ -31,10 +31,10 @@ def test_killing_values():
     )
 
 
-def test_killing_generates_boost(cfg):
+def test_killing_generates_boost():
     # d/ds of the boost of e by rapidity s, at s = 0, is the Killing vector
     e = MinkowskiEvent(1.2, [-0.7, 3.0])
-    h = cfg.fd_step
+    h = FD_STEP
     up = boost_tau_y1(e.tau, float(e.y[0]), h)
     dn = boost_tau_y1(e.tau, float(e.y[0]), -h)
     fd = (np.array([up[0], up[1], 3.0]) - np.array([dn[0], dn[1], 3.0])) / (2 * h)
@@ -42,9 +42,8 @@ def test_killing_generates_boost(cfg):
 
 
 def test_tangency_residual_positive_for_psi():
-    map_ = psi_toy_map(2)
-    for t in np.linspace(-0.99, 10, 60):
-        assert tangency_residual(map_, ChartPoint(t, [0.5])) > 0.44
+    coords = np.column_stack([np.linspace(-0.99, 10, 60), np.full(60, 0.5)])
+    assert (tangency_residual_grid(psi_toy_map(2), coords) > 0.44).all()
 
 
 def test_tangency_residual_origin_error():
@@ -57,13 +56,12 @@ def test_tangency_residual_origin_error():
     map_ = EmbeddingMap(2, 3, value,
                         lambda c: np.array([[[1.0, 0], [1.0, 0], [0, 1.0]]] * len(c)))
     with pytest.raises(PreconditionError):
-        tangency_residual(map_, ChartPoint(0.0, [0.0]))
+        tangency_residual_grid(map_, [[0.0, 0.0]])
 
 
 def test_tangency_residual_synthetic_tangent_map():
-    sm = synthetic_tangent_map()
-    for t, x in [(0.5, 0.3), (-1.0, -0.8), (2.0, 1.2)]:
-        assert tangency_residual(sm, ChartPoint(t, [x])) <= 1e-10
+    coords = [(0.5, 0.3), (-1.0, -0.8), (2.0, 1.2)]
+    assert (tangency_residual_grid(synthetic_tangent_map(), coords) <= 1e-10).all()
 
 
 def test_tangency_rank_hypothesis_warning():
@@ -79,7 +77,7 @@ def test_tangency_rank_hypothesis_warning():
 
     map_ = EmbeddingMap(2, 3, value, jacobian)
     with pytest.warns(UserWarning, match="first spatial axis"):
-        tangency_residual(map_, ChartPoint(1.0, [2.0]))
+        tangency_residual_grid(map_, [[1.0, 2.0]])
 
 
 def test_toy_tangency_poly():
@@ -96,11 +94,10 @@ def test_toy_tangency_poly():
 def test_poly_and_residual_agree_in_sign():
     # the closed-form obstruction never vanishes, so neither may the
     # least-squares residual
-    map_ = psi_toy_map(2)
-    for t in np.linspace(-0.9, 8, 40):
-        value, _ = toy_tangency_poly(t)
-        assert value > 0
-        assert tangency_residual(map_, ChartPoint(t, [1.0])) > 0
+    ts = np.linspace(-0.9, 8, 40)
+    assert (toy_tangency_poly(ts)[0] > 0).all()
+    coords = np.column_stack([ts, np.ones(40)])
+    assert (tangency_residual_grid(psi_toy_map(2), coords) > 0).all()
 
 
 def test_ls_residual_sign_preserved_under_boost():
@@ -108,9 +105,8 @@ def test_ls_residual_sign_preserved_under_boost():
     # as the frame ultra-boosts), but strict positivity -- the
     # transversality verdict -- is not
     map_ = psi_toy_map(2)
-    p = ChartPoint(1.3, [0.4])
     for s in [-2.0, -1.0, 0.7, 2.0]:
-        assert tangency_residual(boosted_frame_map(map_, s), p) > 1e-4
+        assert tangency_residual_grid(boosted_frame_map(map_, s), [[1.3, 0.4]])[0] > 1e-4
 
 
 def test_orbit_profile_synthetic_tangent():
@@ -126,8 +122,8 @@ def test_orbit_profile_synthetic_tangent():
 def test_orbit_count_examples():
     map_ = psi_toy_map(2)
     rng = np.random.default_rng(8)
-    bases = [psi_toy(ChartPoint(rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0),
-                                [rng.uniform(-5, 5)])).coords() for _ in range(10)]
+    bases = map_.value(np.array([[rng.uniform(PSI_REGION_T_MIN + 1e-3, 10.0),
+                                  rng.uniform(-5, 5)] for _ in range(10)]))
     assert (orbit_intersection_count_grid(map_, bases, (-20, 20), 2001) == 1).all()
     # a base off the image crosses nothing
     assert orbit_intersection_count(
@@ -146,17 +142,17 @@ def test_orbit_requires_capability():
 
     bare = EmbeddingMap(2, 3, lambda c: np.column_stack([c[:, 0], c[:, 0] + 1.0,
                                                          c[:, 1]]))
-    with pytest.raises(CapabilityError):
+    with pytest.raises(PreconditionError, match="on_image_residual"):
         orbit_intersection_count(bare, MinkowskiEvent(0.0, [1.0, 0.0]),
                                  (-1, 1), 11)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(PreconditionError, match="on_image_residual"):
         orbit_intersection_count_grid(bare, [[0.0, 1.0, 0.0]], (-1, 1), 11)
 
 
 def test_orbit_count_needs_only_the_residual():
     # scans read on_image_residual alone; a map without a Jacobian counts
     map_ = dataclasses.replace(psi_toy_map(2), jacobian=None)
-    assert orbit_intersection_count(map_, psi_toy(ChartPoint(1.0, [0.5]))) == 1
+    assert orbit_intersection_count(map_, map_.value_eval(ChartPoint(1.0, [0.5]))) == 1
 
 
 def test_orbit_base_outside_region():
@@ -173,7 +169,7 @@ def test_orbit_base_outside_region():
 @pytest.mark.parametrize("samples", [0, 1])
 def test_orbit_count_rejects_fewer_than_two_samples(samples):
     map_ = psi_toy_map(2)
-    base = psi_toy(ChartPoint(1.0, [0.5]))
+    base = map_.value_eval(ChartPoint(1.0, [0.5]))
     with pytest.raises(PreconditionError, match="samples must be >= 2"):
         orbit_intersection_count(map_, base, (-10, 10), samples)
     with pytest.raises(PreconditionError, match="samples must be >= 2"):
@@ -190,7 +186,7 @@ def _boosted(event, s):
 def test_orbit_count_rejects_bad_s_range(s_range):
     # a reversed window stopped the bisection after one step and counted 0
     map_ = psi_toy_map(2)
-    base = _boosted(psi_toy(ChartPoint(1.0, [0.5])), 0.0137)
+    base = _boosted(map_.value_eval(ChartPoint(1.0, [0.5])), 0.0137)
     with pytest.raises(PreconditionError, match="s_range"):
         orbit_intersection_count(map_, base, s_range, 2001)
     with pytest.raises(PreconditionError, match="s_range"):
