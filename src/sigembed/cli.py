@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .errors import RegionError, SigembedError
+from .errors import DomainError, RegionError, SigembedError
 from .explicit import HyperbolaFamily, explicit_embedding_map
 from .minkowski import MinkowskiEvent, psi_toy_map
 from .misner import (GENERATOR_RAPIDITY, TWO_PI, boost_tau_y1, canonical_phi,
@@ -201,7 +201,13 @@ def cmd_misner(args):
             return 1
         powers = np.arange(-args.kmax, args.kmax + 1)
         rapidity = GENERATOR_RAPIDITY * powers
-        tau, y1 = boost_tau_y1(event.tau, float(event.y[0]), rapidity)
+        with np.errstate(all="ignore"):
+            tau, y1 = boost_tau_y1(event.tau, float(event.y[0]), rapidity)
+        # cosh(k pi) overflows float64 from |k| = 226 on (sooner for large events)
+        finite = np.isfinite(tau) & np.isfinite(y1)
+        if not finite.all():
+            raise DomainError(f"orbit copy k = {powers[~finite][0]} of --orbit-event "
+                              "overflows float64")
         _emit_table(["k", "tau", "y1", "T", "phi_raw"],
                     np.column_stack([powers, tau, y1, np.full(powers.size, base.T),
                                      base.phi_raw + 2.0 * rapidity]), run_cfg)

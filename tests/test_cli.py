@@ -167,10 +167,10 @@ def test_embed_json_format(tmp_path):
     assert len(payload["rows"]) == 21
 
 
-@pytest.mark.parametrize("kmax", [3, 7])
+@pytest.mark.parametrize("kmax", [3, 7, 225])
 def test_misner_orbit_copies(tmp_path, kmax):
     # at kmax = 7 the boosted y1 - tau rounds to 0; the rows must still
-    # come out
+    # come out, and at 225, the last kmax before cosh(k pi) overflows, finite
     out = tmp_path / "orbit.csv"
     assert run_cli([
         "misner", "--orbit-event", "0,2", "--kmax", str(kmax), "--output", str(out),
@@ -178,10 +178,21 @@ def test_misner_orbit_copies(tmp_path, kmax):
     header, rows = read_csv(out)
     assert header == ["k", "tau", "y1", "T", "phi_raw"]
     assert rows.shape == (2 * kmax + 1, 5)
+    assert np.isfinite(rows).all()
     np.testing.assert_allclose(rows[:, 3], 1.0, atol=1e-8)  # T preserved
     np.testing.assert_allclose(
         rows[:, 4], TWO_PI * rows[:, 0], atol=1e-8
     )  # phi_raw steps by one period per copy
+
+
+def test_misner_orbit_copy_overflow_is_a_domain_error(capsys):
+    # cosh(226 pi) overflows float64: no row and no RuntimeWarning, one
+    # error naming the first copy that overflows
+    with np.errstate(all="raise"):
+        assert run_cli(["misner", "--orbit-event", "0,2", "--kmax", "226"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orbit copy k = -226 of --orbit-event overflows float64\n"
 
 
 def test_misner_compose_explicit_inside_region(tmp_path):

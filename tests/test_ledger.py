@@ -8,15 +8,7 @@ the comparison means nothing, so it fails naming both.
 
 import json
 
-from make_ledger import LEDGER_PATH, build_ledger, versions
-
-
-def _moves(recorded, fresh, path=()):
-    """Paths of the entries that differ between two nested dicts."""
-    if not (isinstance(recorded, dict) and isinstance(fresh, dict)):
-        return [] if recorded == fresh else [" / ".join(path)]
-    return [move for key in sorted(recorded.keys() | fresh.keys())
-            for move in _moves(recorded.get(key), fresh.get(key), path + (key,))]
+from make_ledger import LEDGER_PATH, _moves, build_ledger, versions
 
 
 def test_outputs_match_ledger():
